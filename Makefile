@@ -27,17 +27,20 @@ coverage:
 
 # Tier-1 gate plus smoke runs of (a) the packed fast-sampler pipeline,
 # (b) the durable-collection path — spill to a throwaway ShardStore,
-# out-of-core replay + digest audit, then a localhost socket round-trip
-# through the asyncio Collector — (c) the authenticated exactly-once
-# CollectionService round-trip with its blind-resend duplicate check —
-# and (d) the same through per-producer derived keys (KeyRegistry) —
+# out-of-core replay + digest audit, then the localhost round-trip
+# through the exactly-once CollectionService with its blind-resend
+# duplicate check, under a key generated for the run — (c) the same
+# under a shared --auth-key — and (d) through per-producer derived
+# keys (KeyRegistry) —
 # so none of them can silently break — plus (e) a smoke-profile run of
 # the scale-out fleet benchmark (2 shard processes, tiny population) so
 # the routed multi-process path is exercised on every check, and (f)
 # the split-trust round (1 blinded collector + 2 share keepers, blind
 # resends, combined decode asserted bit-identical to the direct tally),
 # plus (g) the live-rebalance smoke: 2 shards grow to 3 under streaming
-# producers, the migration pause recorded and exactness asserted.
+# producers, the migration pause recorded and exactness asserted.  Smoke
+# profiles write their rendered results outside the tree, so `make
+# check` leaves benchmarks/results/ untouched.
 check: test bench-scaleout-smoke bench-rebalance-smoke
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.cli pipeline \
 		--n 2000 --m 64 --shards 2 --chunk-size 256 \
@@ -64,16 +67,17 @@ bench-pipeline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_pipeline.py -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*'
 
-# Durable-collection throughput (spill / replay / socket ingest), with a
-# machine-readable record under benchmarks/results/BENCH_collect.json.
+# Durable-collection throughput (spill / replay), with a machine-readable
+# record under benchmarks/results/BENCH_collect.json.
 bench-collect:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_collect.py -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \
 		--json benchmarks/results/BENCH_collect.json
 
-# Exactly-once service: authenticated-ingest throughput (vs the raw
-# socket path, with the <= 2x acceptance assertion) and restart-recovery
-# latency, recorded under benchmarks/results/BENCH_service.json.
+# Exactly-once service: authenticated-ingest throughput (vs a raw
+# framing loop over the same frames, with the <= 2.2x acceptance
+# assertion), restart-recovery latency, group commit, scale-out and
+# live rebalance, recorded under benchmarks/results/BENCH_service.json.
 bench-service:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_service.py -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \

@@ -1,14 +1,14 @@
-"""Durable-collection throughput: spill, replay, and socket ingest.
+"""Durable-collection throughput: spill and replay.
 
 The collection subsystem's costs on top of the streaming pipeline:
 
 * **spill** — streaming a round while writing every packed chunk to a
   :class:`~repro.pipeline.ShardStore` as wire frames (the durable path);
 * **replay** — re-aggregating the round out of core from the spilled
-  frames (the audit path);
-* **socket ingest** — pushing the spilled chunk frames through an
-  asyncio :class:`~repro.pipeline.Collector` over a localhost socket
-  (the cross-machine path).
+  frames (the audit path).
+
+Socket ingest is measured through the exactly-once service in
+``bench_service.py``.
 
 Rates are reported in Mbit/s of *wire payload* (spilled frame bytes), so
 the numbers compare directly against the sampler throughput benchmarks:
@@ -17,7 +17,6 @@ the wire format is 8x denser than one byte per report bit.
 
 from __future__ import annotations
 
-import asyncio
 import shutil
 import tempfile
 
@@ -26,7 +25,7 @@ import pytest
 from repro import OptimizedUnaryEncoding
 from repro.datasets import zipf_items
 from repro.kernels import FAST
-from repro.pipeline import Collector, ShardStore, send_frames, stream_counts
+from repro.pipeline import ShardStore, stream_counts
 from repro.pipeline.collect import wire
 
 N_USERS = 40_000
@@ -139,43 +138,3 @@ def bench_collect_replay(
     # reintroduces a per-frame bytes copy fails here, not in review.
     assert copies["events"] == 0, copies
 
-
-def bench_collect_socket_ingest(
-    benchmark, workload, spill_root, record_result, record_json, repeat
-):
-    """Localhost socket feed: spilled chunk frames through a Collector."""
-    mechanism, items = workload
-    store = _spill_round(mechanism, items, spill_root)
-    with open(store.chunk_path(0), "rb") as handle:
-        frames = [wire.dumps(chunk) for chunk in wire.iter_frames(handle)]
-
-    async def ingest_once() -> Collector:
-        collector = Collector(DOMAIN)
-        host, port = await collector.serve()
-        try:
-            await send_frames(host, port, frames)
-        finally:
-            await collector.close()
-        return collector
-
-    def run() -> Collector:
-        return asyncio.run(ingest_once())
-
-    collector = benchmark.pedantic(run, rounds=repeat(3), warmup_rounds=1)
-    secs = benchmark.stats["mean"]
-    wire_bits = 8 * sum(len(frame) for frame in frames)
-    record_json(
-        "collect_socket_ingest",
-        n=N_USERS,
-        m=DOMAIN,
-        secs=secs,
-        bits_per_sec=wire_bits / secs,
-        frames=len(frames),
-    )
-    record_result(
-        "collect_socket_ingest",
-        f"socket ingest (localhost, {len(frames)} chunk frames): "
-        f"n={N_USERS}, m={DOMAIN}\n"
-        f"mean {secs * 1e3:.1f}ms -> {wire_bits / secs / 1e6:,.0f} Mbit/s wire",
-    )
-    assert collector.accumulator.digest() == store.load_snapshot(0).digest()

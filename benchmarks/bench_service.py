@@ -4,13 +4,14 @@ Three numbers gate the service design:
 
 * **authenticated ingest** — the full exactly-once path (HMAC
   handshake, per-record spill fsync + ledger fsync, per-record acks)
-  must stay within 2.2x of the PR 3 raw socket path on the *same*
-  frames; both are measured here back to back and the ratio is
-  recorded.  (Typical measurement is ~1.8-1.9x; the bar carries ~15%
-  headroom because both sides of the ratio are fsync-noise-dominated
-  minima, and the multi-round commit scheduler trades a scheduling hop
-  per batch on this single-connection path for its cross-connection
-  coalescing.)
+  must stay within 2.2x of a raw framing loop on the *same* frames —
+  one connection, frames decoded and merged into a staging
+  accumulator, one count ack at EOF, no auth and no durability; both
+  are measured here back to back and the ratio is recorded.  (Typical
+  measurement is ~1.8x; the bar carries headroom because both sides of
+  the ratio are fsync-noise-dominated minima, and the multi-round
+  commit scheduler trades a scheduling hop per batch on this
+  single-connection path for its cross-connection coalescing.)
 * **recovery latency** — how long a restart takes to load the ledger,
   truncate the spill to the committed offset, and replay the round.
 * **cross-connection group commit** — the multi-round scenario: 8
@@ -27,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import os
 import shutil
+import struct
 import tempfile
 import time
 
@@ -36,16 +38,17 @@ from repro import OptimizedUnaryEncoding
 from repro.datasets import zipf_items
 from repro.kernels import FAST
 from repro.pipeline import (
-    Collector,
     CollectionService,
+    CountAccumulator,
     KeyRegistry,
     ServiceLimits,
-    send_frames,
     send_records,
     stream_counts,
 )
 from repro.pipeline.collect import wire
+from repro.pipeline.collect.framing import read_frame_bytes
 from repro.pipeline.service import ShardFleet, aggregate_round, send_records_routed
+from repro.pipeline.service.rounds import apply_frame_object
 
 N_USERS = 40_000
 DOMAIN = 2_000
@@ -134,23 +137,52 @@ def _service_ingest(frames, root) -> CollectionService:
     return asyncio.run(run())
 
 
-def _raw_socket_ingest(frames) -> Collector:
-    async def run() -> Collector:
-        collector = Collector(DOMAIN)
-        host, port = await collector.serve()
-        try:
-            await send_frames(host, port, frames)
-        finally:
-            await collector.close()
-        return collector
+def _raw_socket_ingest(frames) -> CountAccumulator:
+    """The ratio's baseline: the same frames over a bare framing loop.
 
-    return asyncio.run(run())
+    One connection; the server reads each frame, decodes it, and merges
+    it into a staging accumulator, then folds the staging into the
+    round at EOF and acks with the 8-byte frame count.  No handshake,
+    no spill, no ledger: what is left of ingest without the guarantees.
+    """
+    accumulator = CountAccumulator(DOMAIN)
+
+    async def handle(reader, writer) -> None:
+        staging, count = CountAccumulator(DOMAIN), 0
+        while (frame := await read_frame_bytes(reader)) is not None:
+            apply_frame_object(wire.loads(frame), staging)
+            count += 1
+        accumulator.merge(staging)
+        writer.write(struct.pack("<Q", count))
+        await writer.drain()
+        writer.close()
+        await writer.wait_closed()
+
+    async def run() -> int:
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            for frame in frames:
+                writer.write(frame)
+            await writer.drain()
+            writer.write_eof()
+            (acked,) = struct.unpack("<Q", await reader.readexactly(8))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            server.close()
+            await server.wait_closed()
+        return acked
+
+    assert asyncio.run(run()) == len(frames)
+    return accumulator
 
 
 def bench_service_ingest(
     benchmark, frames, scratch_roots, record_result, record_json, repeat
 ):
-    """Authenticated exactly-once ingest vs the raw at-least-once socket."""
+    """Authenticated exactly-once ingest vs a raw framing loop."""
 
     def ingest_into_fresh_round() -> CollectionService:
         # The service refuses to overwrite existing round state, so each
@@ -159,22 +191,24 @@ def bench_service_ingest(
 
     service = benchmark(ingest_into_fresh_round)
     secs = benchmark.stats["mean"]
+    best_secs = benchmark.stats["min"]
     assert service.records_merged == len(frames)
 
-    # The raw PR 3 path on the very same frames, for the ratio.  Both
+    # The raw framing loop on the very same frames, for the ratio.  Both
     # sides of the ratio use their best observation: fsync and
     # scheduling noise dominate the tails on shared machines, and the
     # bar is about the protocol's cost, not the disk's worst mood.
+    raw_runs = repeat(5)
     raw_times = []
-    for _ in range(repeat(5)):
+    for _ in range(raw_runs):
         start = time.perf_counter()
-        collector = _raw_socket_ingest(frames)
+        raw = _raw_socket_ingest(frames)
         raw_times.append(time.perf_counter() - start)
-    assert collector.frames_ingested == len(frames)
+    assert raw.digest() == service.accumulator.digest()
     raw_secs = min(raw_times)
 
     wire_bits = 8 * sum(len(frame) for frame in frames)
-    ratio = benchmark.stats["min"] / raw_secs
+    ratio = best_secs / raw_secs
     record_json(
         "service_ingest",
         n=N_USERS,
@@ -182,21 +216,27 @@ def bench_service_ingest(
         secs=secs,
         bits_per_sec=wire_bits / secs,
         frames=len(frames),
-        raw_socket_secs=raw_secs,
-        raw_socket_bits_per_sec=wire_bits / raw_secs,
-        slowdown_vs_raw_socket=ratio,
+        service_mean_secs=secs,
+        service_best_secs=best_secs,
+        raw_best_secs=raw_secs,
+        raw_runs=raw_runs,
+        raw_best_bits_per_sec=wire_bits / raw_secs,
+        service_best_over_raw_best=ratio,
     )
     record_result(
         "service_ingest",
         "authenticated exactly-once ingest (handshake + fsync'd ledger): "
         f"n={N_USERS}, m={DOMAIN}, {len(frames)} records\n"
-        f"mean {secs * 1e3:.1f}ms -> {wire_bits / secs / 1e6:,.0f} Mbit/s wire\n"
-        f"raw socket (PR 3, no auth/durability): {raw_secs * 1e3:.1f}ms "
-        f"-> {wire_bits / raw_secs / 1e6:,.0f} Mbit/s wire\n"
-        f"exactly-once overhead: {ratio:.2f}x (acceptance bar: <= 2.2x)",
+        f"service mean {secs * 1e3:.1f}ms -> "
+        f"{wire_bits / secs / 1e6:,.0f} Mbit/s wire, "
+        f"best {best_secs * 1e3:.1f}ms\n"
+        f"raw framing loop (no auth/durability), best of {raw_runs}: "
+        f"{raw_secs * 1e3:.1f}ms -> {wire_bits / raw_secs / 1e6:,.0f} Mbit/s wire\n"
+        f"exactly-once overhead, service best / raw best: {ratio:.2f}x "
+        "(acceptance bar: <= 2.2x)",
     )
     assert ratio <= 2.2, (
-        f"authenticated ingest is {ratio:.2f}x the raw socket path; "
+        f"authenticated ingest is {ratio:.2f}x the raw framing loop; "
         "the acceptance bar is 2.2x"
     )
 

@@ -11,18 +11,34 @@ with ``--json PATH`` (see ``make bench-json``) and every
 peak_rss}`` entry, written as a JSON list at session end.  Committing
 those files under ``benchmarks/results/BENCH_*.json`` tracks the perf
 trajectory PR over PR.
+
+Smoke profiles (``BENCH_SMOKE=1`` or any ``BENCH_<NAME>_SMOKE=1``)
+shrink a benchmark to liveness-check size; their rendered results go to
+a scratch directory under the system temp dir instead, so a smoke run
+never overwrites a committed full-profile record.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import resource
 import sys
+import tempfile
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+SMOKE_RESULTS_DIR = os.path.join(tempfile.gettempdir(), "repro-bench-smoke")
+
+
+def _smoke_profile() -> bool:
+    """True when any ``BENCH_*SMOKE`` profile variable is set to 1."""
+    return any(
+        re.fullmatch(r"BENCH_(\w+_)?SMOKE", name) and value == "1"
+        for name, value in os.environ.items()
+    )
 
 
 def pytest_addoption(parser):
@@ -116,20 +132,25 @@ def repeat(request):
 
 @pytest.fixture(scope="session")
 def results_dir() -> str:
-    """Directory where regenerated tables/figures are written."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+    """Directory where regenerated tables/figures are written.
+
+    ``benchmarks/results/`` for full-profile runs; the scratch
+    :data:`SMOKE_RESULTS_DIR` under a smoke profile.
+    """
+    path = SMOKE_RESULTS_DIR if _smoke_profile() else RESULTS_DIR
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 @pytest.fixture
 def record_result(results_dir):
-    """Write a rendered table/series to ``benchmarks/results/<name>.txt``."""
+    """Write a rendered table/series to ``<results_dir>/<name>.txt``."""
 
     def _record(name: str, text: str) -> str:
         path = os.path.join(results_dir, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        print(f"\n=== {name} ===\n{text}")
+        print(f"\n=== {name} ===\n{text}\n({path})")
         return path
 
     return _record

@@ -10,7 +10,7 @@ Supported objects: :class:`~repro.core.budgets.BudgetSpec`, the uniform
 unary mechanisms (SUE / OUE / UE), :class:`~repro.mechanisms.idue.IDUE`
 and :class:`~repro.mechanisms.idue_ps.IDUEPS`.
 
-Collector-side state (:class:`~repro.pipeline.CountAccumulator`) uses
+Aggregation state (:class:`~repro.pipeline.CountAccumulator`) uses
 the binary wire format of :mod:`repro.pipeline.collect.wire` instead of
 JSON — counts are bulk numeric payload, and the wire frames carry the
 version + CRC checks a collector needs; :func:`save_accumulator` /

@@ -15,9 +15,8 @@ in bounded memory:
   fans user shards across workers and merges their accumulators.
 * :mod:`.collect` — the durable/distributed collection layer: the
   versioned checksummed wire format for snapshots and packed chunks,
-  :class:`ShardStore` disk spill with out-of-core replay and digest
-  audit, and the asyncio :class:`Collector` ingesting frames from
-  concurrent producers (queue or socket feed).
+  and :class:`ShardStore` disk spill with out-of-core replay and
+  digest audit.
 * :mod:`.service` — the deployment-shaped endpoint on top of
   :mod:`.collect`: :class:`CollectionService`, an authenticated
   (HMAC-keyed sessions), exactly-once (fsync'd idempotency ledger),
@@ -45,7 +44,7 @@ models differ.
 """
 
 from .accumulator import CountAccumulator
-from .collect import Collector, PackedChunk, ShardStore, send_frames
+from .collect import PackedChunk, ShardStore
 from .engine import iter_report_chunks, report_width, stream_counts
 from .service import (
     CollectionService,
@@ -65,8 +64,6 @@ __all__ = [
     "stream_counts",
     "ShardedRunner",
     "shard_bounds",
-    "Collector",
-    "send_frames",
     "ShardStore",
     "PackedChunk",
     "CollectionService",

@@ -1,25 +1,25 @@
-"""Durable collection: wire format, disk-backed shards, async ingestion.
+"""Durable collection: wire format, disk-backed shards, socket framing.
 
-The three pieces a distributed deployment of the pipeline needs between
+The pieces a distributed deployment of the pipeline needs between
 "devices perturb" and "collector estimates":
 
 * :mod:`.wire` — the versioned, CRC-checksummed binary frame format for
   :class:`~repro.pipeline.accumulator.CountAccumulator` snapshots and
-  packed report chunks (``dumps``/``loads`` plus file/stream IO).  See
+  packed report chunks (``dumps``/``loads`` plus ``decode_frame_at``
+  for walking concatenated frames in place).  See
   ``docs/wire_format.md`` for the byte layout and versioning rules.
 * :mod:`.store` — :class:`ShardStore`, append-only per-shard spill files
-  of chunk frames with out-of-core replay and digest-based audit.
-* :mod:`.collector` — :class:`Collector`, an asyncio endpoint merging
-  frames from concurrent producers (queue or localhost socket feed)
-  into a live accumulator, with :func:`send_frames` as the client side.
+  of chunk frames with out-of-core replay and digest-based audit; its
+  mmap walk is the one reader of spill files.
+* :mod:`.framing` — the async frame reader every socket surface of the
+  collection service shares.
 
 Everything round-trips bit-exactly: a round spilled and replayed, or
-shipped frame-by-frame through a collector socket, reproduces the
-in-memory :func:`~repro.pipeline.engine.stream_counts` state digest for
-digest.
+shipped record-by-record through the collection service
+(:mod:`repro.pipeline.service`), reproduces the in-memory
+:func:`~repro.pipeline.engine.stream_counts` state digest for digest.
 """
 
-from .collector import Collector, apply_frame_object, send_frames
 from .store import ShardChunkWriter, ShardStore
 from .wire import (
     HEADER_SIZE,
@@ -42,16 +42,10 @@ from .wire import (
     dump_chunk,
     dump_snapshot,
     dumps,
-    iter_frames,
     loads,
-    read_frame,
-    write_frame,
 )
 
 __all__ = [
-    "Collector",
-    "send_frames",
-    "apply_frame_object",
     "ShardStore",
     "ShardChunkWriter",
     "PackedChunk",
@@ -64,9 +58,6 @@ __all__ = [
     "loads",
     "dump_snapshot",
     "dump_chunk",
-    "write_frame",
-    "read_frame",
-    "iter_frames",
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "WIRE_VERSION_SESSION",

@@ -394,21 +394,16 @@ class ShardStore:
             return {"offset": 0, "frames": 0, "discarded_bytes": 0}
         file_size = os.path.getsize(path)
         offsets = self._read_index(shard_id, file_size)
+        indexed = offsets[-1] if offsets else 0
+        # Scan the unindexed tail (non-durable writers have no index at
+        # all) for further complete frames; the first torn or corrupt
+        # frame ends the scan.
+        try:
+            offsets.extend(end for end, _ in self.walk(shard_id, start=indexed))
+        except WireFormatError:
+            pass
         end = offsets[-1] if offsets else 0
         frames = len(offsets)
-        # Scan the unindexed tail (non-durable writers have no index at
-        # all) for further complete frames.
-        with open(path, "rb") as handle:
-            handle.seek(end)
-            while True:
-                try:
-                    if wire.read_frame(handle) is None:
-                        break
-                except WireFormatError:
-                    break
-                end = handle.tell()
-                frames += 1
-                offsets.append(end)
         if committed_offset is not None:
             if committed_offset > end:
                 raise ValidationError(
@@ -447,18 +442,97 @@ class ShardStore:
         with open(path, "rb") as handle:
             return wire.loads(handle.read())
 
+    def walk(self, shard_id: int, *, start: int = 0):
+        """Yield ``(end_offset, obj)`` for each frame of a shard's spill.
+
+        The one reader of spill files: replay, the unindexed-tail scan
+        of :meth:`recover_shard`, and a service round's ledger replay
+        all go through here.  The spill is mmap'd and decoded in place
+        from *start* (a frame boundary) to the end of the file as it
+        was when the walk began: a decoded chunk's rows are a read-only
+        numpy view over the mapped pages (never a per-frame ``bytes``
+        copy), and the consumed prefix is released back to the OS
+        (``madvise(MADV_DONTNEED)``) as the walk passes it, so resident
+        memory stays bounded by the release window regardless of spill
+        size.  Raises :class:`WireFormatError` at the first torn or
+        corrupt frame, after yielding every complete one before it.
+
+        Each *obj* borrows the map and is valid only until the walk
+        advances: absorb it, never keep it.  The map closes once the
+        walk has ended and the consumer has dropped its last frame; a
+        view kept longer keeps the map alive, aliasing pages that a
+        later :meth:`ShardChunkWriter.rollback` may truncate away —
+        touching those raises ``SIGBUS``.
+        """
+        offset = int(start)
+        with open(self.chunk_path(shard_id), "rb") as handle:
+            if offset >= os.fstat(handle.fileno()).st_size:
+                return  # nothing to walk (and an empty file cannot map)
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        obj = None
+        try:
+            view = memoryview(mapped)
+            try:
+                size = len(view)
+                released = offset - offset % mmap.PAGESIZE
+                can_release = hasattr(mapped, "madvise") and hasattr(
+                    mmap, "MADV_DONTNEED"
+                )
+                while offset < size:
+                    obj, offset = wire.decode_frame_at(view, offset)
+                    yield offset, obj
+                    # Drop the decoded view before releasing its pages.
+                    obj = None
+                    if can_release:
+                        boundary = offset - offset % mmap.PAGESIZE
+                        if boundary - released >= _REPLAY_RELEASE_BYTES:
+                            mapped.madvise(
+                                mmap.MADV_DONTNEED, released, boundary - released
+                            )
+                            released = boundary
+            finally:
+                # The exported buffer must go before the map can close.
+                obj = None
+                del view
+        finally:
+            try:
+                mapped.close()
+            except BufferError:
+                # The consumer still holds the last frame (its loop
+                # variable, or an escaping error's traceback); the map
+                # closes when that reference is dropped.
+                pass
+
+    def read_ranges(self, shard_id: int, ranges) -> list[bytes]:
+        """Copy byte ranges ``[start, end)`` out of one shard's spill.
+
+        For handing committed frames elsewhere (a live migration moves a
+        producer's records, located by the ledger's ``spill_end``
+        offsets) without reading the rest of the spill.  The copies own
+        their bytes, so a later truncation of the spill cannot reach
+        them.
+        """
+        blobs = []
+        with open(self.chunk_path(shard_id), "rb") as handle:
+            for start, end in ranges:
+                handle.seek(start)
+                blob = handle.read(end - start)
+                if len(blob) != end - start:
+                    raise WireFormatError(
+                        f"spill of shard {shard_id} ends before byte {end}"
+                    )
+                blobs.append(blob)
+        return blobs
+
     def replay_shard(
         self, shard_id: int, *, compute: str = "numpy"
     ) -> CountAccumulator:
         """Re-aggregate one shard from its spilled chunks, out of core.
 
-        The spill file is mmap'd and decoded in place: each chunk's rows
-        are a read-only numpy view over the mapped pages (never a
-        per-frame ``bytes`` copy), and the consumed prefix is released
-        back to the OS (``madvise(MADV_DONTNEED)``) as the walk passes
-        it, so peak resident memory stays bounded by the release window
-        regardless of spill size.  *compute* selects the popcount
-        backend (:mod:`repro.kernels.backends`); the replayed state is
+        One :meth:`walk` over the mmap'd spill, so peak resident memory
+        stays bounded by the walk's release window regardless of spill
+        size.  *compute* selects the popcount backend
+        (:mod:`repro.kernels.backends`); the replayed state is
         bit-identical on every backend.
         """
         path = self.chunk_path(shard_id)
@@ -469,57 +543,28 @@ class ShardStore:
         if os.path.getsize(path) == 0:
             raise WireFormatError(f"{path} holds no frames")
         accumulator = None
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            view = memoryview(mapped)
-            try:
-                offset, released, size = 0, 0, len(view)
-                can_release = hasattr(mapped, "madvise") and hasattr(
-                    mmap, "MADV_DONTNEED"
+        for _, chunk in self.walk(shard_id):
+            if not isinstance(chunk, wire.PackedChunk):
+                raise WireFormatError(
+                    f"{path} holds a non-chunk frame "
+                    f"({type(chunk).__name__}); chunk files carry "
+                    "packed report chunks only"
                 )
-                while offset < size:
-                    chunk, offset = wire.decode_frame_at(view, offset)
-                    if not isinstance(chunk, wire.PackedChunk):
-                        raise WireFormatError(
-                            f"{path} holds a non-chunk frame "
-                            f"({type(chunk).__name__}); chunk files carry "
-                            "packed report chunks only"
-                        )
-                    if accumulator is None:
-                        accumulator = CountAccumulator(
-                            chunk.m, round_id=chunk.round_id, compute=compute
-                        )
-                    elif (
-                        chunk.m != accumulator.m
-                        or chunk.round_id != accumulator.round_id
-                    ):
-                        raise WireFormatError(
-                            f"{path} mixes (m={chunk.m}, "
-                            f"round={chunk.round_id}) into a "
-                            f"(m={accumulator.m}, "
-                            f"round={accumulator.round_id}) shard"
-                        )
-                    accumulator.add_packed_reports(chunk.rows)
-                    # Drop the rows view before releasing its pages.
-                    chunk = None
-                    if can_release:
-                        boundary = offset - offset % mmap.PAGESIZE
-                        if boundary - released >= _REPLAY_RELEASE_BYTES:
-                            mapped.madvise(
-                                mmap.MADV_DONTNEED, released, boundary - released
-                            )
-                            released = boundary
-            finally:
-                # The exported buffer must go before the map can close.
-                del view
-        finally:
-            try:
-                mapped.close()
-            except BufferError:
-                # An escaping error left a decoded view aliasing the map;
-                # the OS reclaims it when those references are collected.
-                pass
+            if accumulator is None:
+                accumulator = CountAccumulator(
+                    chunk.m, round_id=chunk.round_id, compute=compute
+                )
+            elif (
+                chunk.m != accumulator.m
+                or chunk.round_id != accumulator.round_id
+            ):
+                raise WireFormatError(
+                    f"{path} mixes (m={chunk.m}, "
+                    f"round={chunk.round_id}) into a "
+                    f"(m={accumulator.m}, "
+                    f"round={accumulator.round_id}) shard"
+                )
+            accumulator.add_packed_reports(chunk.rows)
         return accumulator
 
     def replay(self, *, compute: str = "numpy") -> CountAccumulator:

@@ -153,9 +153,6 @@ __all__ = [
     "dumps",
     "loads",
     "decode_frame_at",
-    "write_frame",
-    "read_frame",
-    "iter_frames",
 ]
 
 # Optional observability tap for the structural copies the decoder still
@@ -971,7 +968,7 @@ def loads(data):
     if len(data) > expected:
         raise WireFormatError(
             f"{len(data) - expected} trailing bytes after a {expected}-byte "
-            "frame; use iter_frames for concatenated streams"
+            "frame; walk concatenated frames with decode_frame_at"
         )
     payload = data[HEADER_SIZE : HEADER_SIZE + length]
     (stored_crc,) = _CRC.unpack_from(data, HEADER_SIZE + length)
@@ -985,7 +982,7 @@ def loads(data):
 def decode_frame_at(buffer, offset: int = 0):
     """Decode one frame at *offset* in an in-memory buffer.
 
-    The random-access sibling of :func:`read_frame`: walk a buffer that
+    The random-access sibling of :func:`loads`: walk a buffer that
     holds concatenated frames (an mmap'd spill file, a reassembled
     socket buffer) without slicing per-frame ``bytes`` out of it.
     Returns ``(obj, next_offset)`` where *next_offset* is the first byte
@@ -1017,47 +1014,3 @@ def decode_frame_at(buffer, offset: int = 0):
         )
     return _decode(kind, m, n, round_id, payload, version), end
 
-
-# ----------------------------------------------------------------------
-# Stream IO
-# ----------------------------------------------------------------------
-def write_frame(stream, obj) -> int:
-    """Serialize *obj* onto a binary file object; returns bytes written."""
-    frame = dumps(obj)
-    stream.write(frame)
-    return len(frame)
-
-
-def read_frame(stream):
-    """Read one frame from a binary file object.
-
-    Returns the decoded object, or ``None`` at a clean end of stream
-    (EOF exactly on a frame boundary).  EOF *inside* a frame raises
-    :class:`WireFormatError` — a spill file cut off mid-write must never
-    read as merely shorter.
-    """
-    head = stream.read(HEADER_SIZE)
-    if not head:
-        return None
-    version, kind, m, n, round_id, length = _parse_header(head)
-    rest = stream.read(length + _CRC.size)
-    if len(rest) < length + _CRC.size:
-        raise WireFormatError(
-            f"truncated frame: payload needs {length + _CRC.size} bytes, "
-            f"got {len(rest)}"
-        )
-    # View, not a bytes slice: a decoded chunk's rows alias `rest`
-    # directly instead of copying the payload a second time.
-    payload = memoryview(rest)[:length]
-    (stored_crc,) = _CRC.unpack_from(rest, length)
-    if stored_crc != zlib.crc32(payload):
-        raise WireFormatError(
-            "payload checksum mismatch: frame payload is corrupted"
-        )
-    return _decode(kind, m, n, round_id, payload, version)
-
-
-def iter_frames(stream):
-    """Yield decoded frames from a binary file object until clean EOF."""
-    while (obj := read_frame(stream)) is not None:
-        yield obj

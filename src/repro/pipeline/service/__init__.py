@@ -1,11 +1,10 @@
 """Exactly-once, authenticated collection service.
 
-The :class:`~repro.pipeline.collect.collector.Collector` of
-:mod:`repro.pipeline.collect` is a lab endpoint: producers are
-anonymous, delivery is at-least-once (a lost ack after a successful
-merge makes a blind resend double-count), and a crash mid-round loses
-the live state.  This package is the deployment-shaped endpoint layered
-on the same wire format, PrivCount-style:
+The one collection endpoint of the pipeline: producers authenticate,
+every record is acknowledged only once it is durable, a blind resend
+after a lost ack is deduplicated rather than double-counted, and a
+crash mid-round loses nothing.  It is layered on the wire format and
+spill store of :mod:`repro.pipeline.collect`, PrivCount-style:
 
 * :mod:`.auth` — the HMAC-keyed session handshake and the
   :class:`KeyRegistry` of per-producer keys (keyfile-loadable,

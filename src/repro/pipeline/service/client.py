@@ -250,11 +250,10 @@ async def send_records(
 ) -> list[wire.Ack]:
     """Authenticate and ship *frames* as records ``start_seq, ...``.
 
-    The exactly-once counterpart of
-    :func:`repro.pipeline.collect.collector.send_frames`: each frame
-    becomes one record, acks come back in order, and re-running the call
-    verbatim (a blind resend) yields ``ACK_DUPLICATE`` for everything
-    already committed instead of double-counting it.
+    Each frame becomes one record, acks come back in order, and
+    re-running the call verbatim (a blind resend) yields
+    ``ACK_DUPLICATE`` for everything already committed instead of
+    double-counting it.
 
     Records are pipelined through a *bounded window*: up to
     ``max_inflight`` records stream out before their acks are

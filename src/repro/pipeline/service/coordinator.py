@@ -393,34 +393,18 @@ class RoundCoordinator:
         )
         return self.table.epoch
 
-    async def rebalance(self, *, add=None, remove=None) -> RoutingTable:
-        """Add and/or remove shards; push the next-epoch table.
-
-        Consistent hashing keeps the move minimal: only producers owned
-        by a removed shard, or newly claimed by an added one, change
-        shards.  Producers mid-session are untouched (tables gate
-        handshakes only); their next reconnect follows a MOVED
-        redirect.
-        """
-        table = self.table
-        for shard in add or ():
-            table = table.with_shard(shard)
-        for name in remove or ():
-            table = table.without_shard(name)
-        await self.push_routing(table)
-        return table
-
     # ------------------------------------------------------------------
     # Live rebalancing (records follow their producers, under traffic)
     # ------------------------------------------------------------------
     async def migrate(self, table: RoutingTable, *, extra_sources=()) -> dict:
         """Move the fleet to *table* without losing a record.
 
-        :meth:`rebalance` only repoints *future* sessions; records a
-        moved producer already committed would stay marooned on the old
-        owner — and its blind resends (the MOVED recovery path resends
-        whole batches) would double-count on the new one.  ``migrate``
-        closes both holes, live:
+        Pushing *table* alone (:meth:`push_routing`) only repoints
+        *future* sessions; records a moved producer already committed
+        would stay marooned on the old owner — and its blind resends
+        (the MOVED recovery path resends whole batches) would
+        double-count on the new one.  ``migrate`` closes both holes,
+        live:
 
         1. journal the new fleet and a ``migrate pending`` marker —
            *before* any shard sees the table, so a coordinator crash

@@ -40,7 +40,6 @@ from ...exceptions import LedgerError, ValidationError, WireFormatError
 from ...kernels import packed_width
 from ..accumulator import CountAccumulator
 from ..collect import wire
-from ..collect.collector import apply_frame_object
 from ..collect.store import ShardStore, atomic_write_bytes
 from .auth import fresh_nonce, keeper_party_label
 from .commit import GroupCommitScheduler
@@ -59,6 +58,7 @@ from .shares import (
 __all__ = [
     "RoundState",
     "RoundRegistry",
+    "apply_frame_object",
     "LEDGER_FILENAME",
     "EXCLUSIONS_FILENAME",
     "SERVICE_SHARD_ID",
@@ -92,6 +92,34 @@ ROUND_MODES = (MODE_COLLECT, MODE_BLINDED, MODE_KEEPER)
 def round_namespace(round_id: int) -> str:
     """The store namespace a hosted round's files live under."""
     return f"round_{int(round_id):05d}"
+
+
+def apply_frame_object(obj, accumulator: CountAccumulator) -> None:
+    """Absorb one decoded snapshot or chunk into *accumulator*.
+
+    The plaintext merge rule of a collect-mode round, for live commits
+    and replay alike (:meth:`RoundState.absorb`), so width/round
+    refusals behave identically on both paths.
+    """
+    if isinstance(obj, CountAccumulator):
+        accumulator.merge(obj)
+    elif isinstance(obj, wire.PackedChunk):
+        if obj.m != accumulator.m:
+            raise ValidationError(
+                f"cannot ingest width-{obj.m} chunk into width-"
+                f"{accumulator.m} round"
+            )
+        if obj.round_id != accumulator.round_id:
+            raise ValidationError(
+                f"cannot ingest round-{obj.round_id} chunk into round "
+                f"{accumulator.round_id}"
+            )
+        accumulator.add_packed_reports(obj.rows)
+    else:
+        raise ValidationError(
+            f"cannot ingest {type(obj).__name__}; expected "
+            "CountAccumulator or PackedChunk"
+        )
 
 
 class RoundState:
@@ -268,12 +296,11 @@ class RoundState:
             )
         self.member_digest = empty_member_digest()
         entries = self.ledger.entries()
-        chunk_path = self.store.chunk_path(SERVICE_SHARD_ID)
-        if entries and os.path.exists(chunk_path):
-            with open(chunk_path, "rb") as handle:
-                for entry, obj in zip(entries, wire.iter_frames(handle)):
-                    if entry.producer_id in self.excluded:
-                        continue
+        if entries:
+            # Synchronous, so no rollback can truncate the spill under
+            # the walk; absorb copies what it keeps out of each frame.
+            for entry, (_, obj) in zip(entries, self.store.walk(SERVICE_SHARD_ID)):
+                if entry.producer_id not in self.excluded:
                     self.absorb(obj)
         merged = 0
         kept_bytes = 0
@@ -317,9 +344,9 @@ class RoundState:
         """Merge one validated inner object into this round's state.
 
         The single dispatch point between the classic plaintext merge
-        (:func:`~repro.pipeline.collect.collector.apply_frame_object`)
-        and the split-trust accumulators — commit and recovery both go
-        through here, so replay is the same code path as live ingest.
+        (:func:`apply_frame_object`) and the split-trust accumulators —
+        commit and recovery both go through here, so replay is the same
+        code path as live ingest.
         """
         if self.mode == MODE_COLLECT:
             apply_frame_object(obj, self.accumulator)
@@ -389,24 +416,19 @@ class RoundState:
         """
         producers = {str(producer) for producer in producers}
         epoch = int(epoch)
-        entries = self.ledger.entries()
-        moved: list[tuple[str, int, bytes, bytes]] = []
-        if any(entry.producer_id in producers for entry in entries):
-            chunk_path = self.store.chunk_path(SERVICE_SHARD_ID)
-            with open(chunk_path, "rb") as handle:
-                blob = handle.read()
-            previous_end = 0
-            for entry in entries:
-                start, previous_end = previous_end, entry.spill_end
-                if entry.producer_id in producers:
-                    moved.append(
-                        (
-                            entry.producer_id,
-                            entry.seq,
-                            entry.digest,
-                            blob[start : entry.spill_end],
-                        )
-                    )
+        # Ledger order is spill order, so each entry's frame spans from
+        # the previous entry's spill_end to its own.
+        picked, ranges, previous_end = [], [], 0
+        for entry in self.ledger.entries():
+            if entry.producer_id in producers:
+                picked.append(entry)
+                ranges.append((previous_end, entry.spill_end))
+            previous_end = entry.spill_end
+        frames = self.store.read_ranges(SERVICE_SHARD_ID, ranges)
+        moved = [
+            (entry.producer_id, entry.seq, entry.digest, frame)
+            for entry, frame in zip(picked, frames)
+        ]
         newly = {p for p in producers if p not in self.excluded}
         if producers:
             for producer in producers:

@@ -298,43 +298,39 @@ class SessionHost:
             staged_frames.clear()
             return await self._commit_batch(writer, round_, producer_id, batch)
 
+        async def revoked_or_moved() -> bool:
+            """The session gate; True when the session must end here.
+
+            A revoked producer is reaped ("authentication failed"); one a
+            rebalance moved to another shard is refused with MOVED,
+            which redirects it to the new owner.  What the session
+            already staged still commits first, like a drain: those
+            records were accepted from an authenticated session before
+            the change (a migration transfer picks them up), and the
+            acks for them may already be owed.
+            """
+            if self.keys.is_revoked(producer_id):
+                self.sessions_reaped_revoked += 1
+                self.last_connection_error = f"producer {producer_id!r} revoked"
+                detail = "authentication failed"
+            else:
+                owner = self._moved_owner(producer_id)
+                if owner is None:
+                    return False
+                self.sessions_moved += 1
+                self.last_connection_error = (
+                    f"producer {producer_id!r} moved to {owner.name}"
+                )
+                detail = format_moved(self.table.epoch, owner)
+            if await flush():
+                await refuse_record(0, detail)
+            return True
+
         try:
             while True:
-                # Revocation reap: checked before every read, so an
-                # active producer is cut off at its next frame and an
-                # idle one within REAP_POLL_SECONDS.  What it already
-                # staged still commits (like a drain) — those records
-                # were accepted from an authenticated session and the
-                # acks for them may already be owed.
-                if self.keys.is_revoked(producer_id):
-                    self.sessions_reaped_revoked += 1
-                    self.last_connection_error = (
-                        f"producer {producer_id!r} revoked"
-                    )
-                    if not await flush():
-                        return
-                    await refuse_record(0, "authentication failed")
-                    return
-                # Ownership re-check, same cadence as revocation: a
-                # rebalance that moved this producer drains the session
-                # at its next frame (or within the idle poll).  What it
-                # already staged still commits *here* — those records
-                # precede the move and the migration transfer picks
-                # them up — then the MOVED refusal redirects the
-                # producer to the new owner.
-                owner = self._moved_owner(producer_id)
-                if owner is not None:
-                    self.sessions_moved += 1
-                    self.last_connection_error = (
-                        f"producer {producer_id!r} moved to {owner.name}"
-                    )
-                    if not await flush():
-                        return
-                    await refuse_record(
-                        0, format_moved(self.table.epoch, owner)
-                    )
-                    return
                 if not pending and idle.expired():
+                    # Idle session: free the slot; everything acked is
+                    # durable, so the producer just reconnects.
                     self.connections_failed += 1
                     self.last_connection_error = "session idle timeout"
                     await self._refuse(
@@ -345,6 +341,7 @@ class SessionHost:
                         round_id=round_.round_id,
                     )
                     return
+                timed_out = False
                 try:
                     # Header deadline: the group-commit idle signal when
                     # a batch is staged, the revocation-poll-capped
@@ -364,24 +361,7 @@ class SessionHost:
                         payload_timeout=self.limits.session_idle_seconds,
                     )
                 except asyncio.TimeoutError:
-                    if pending:
-                        if not await flush():
-                            return
-                        continue
-                    if not idle.expired():
-                        continue  # revocation poll tick; loop re-checks
-                    # Idle session: free the slot; everything acked is
-                    # durable, so the producer just reconnects.
-                    self.connections_failed += 1
-                    self.last_connection_error = "session idle timeout"
-                    await self._refuse(
-                        writer,
-                        0,
-                        "session idle timeout",
-                        m=round_.m,
-                        round_id=round_.round_id,
-                    )
-                    return
+                    frame, timed_out = None, True
                 except QuotaExceededError as exc:
                     # A failed flush already sent the connection's last
                     # ack (a commit-time refusal); a second refusal here
@@ -390,39 +370,21 @@ class SessionHost:
                         return
                     await refuse_record(0, str(exc))
                     return
-                if frame is None:
+                if frame is None and not timed_out:
                     await flush()
                     return  # clean end of session
+                # Gate after every read attempt: a frame that arrived is
+                # checked before it is staged (a revocation or
+                # route-update that landed while it was in flight still
+                # refuses it), and the poll tick ends an idle revoked or
+                # moved session within REAP_POLL_SECONDS.
+                if await revoked_or_moved():
+                    return
+                if timed_out:
+                    if pending and not await flush():
+                        return
+                    continue  # the loop top reaps an expired session
                 idle.reset()
-                # Re-check after the read: a revocation that landed
-                # while this frame was in flight still refuses it — the
-                # loop-top check ran before the frame existed, and
-                # "reaped at its next frame" is the contract.
-                if self.keys.is_revoked(producer_id):
-                    self.sessions_reaped_revoked += 1
-                    self.last_connection_error = (
-                        f"producer {producer_id!r} revoked"
-                    )
-                    if not await flush():
-                        return
-                    await refuse_record(0, "authentication failed")
-                    return
-                # Same post-read re-check for ownership: a route-update
-                # installed while this frame was in flight refuses it
-                # with MOVED instead of committing it on the wrong side
-                # of the migration cut.
-                owner = self._moved_owner(producer_id)
-                if owner is not None:
-                    self.sessions_moved += 1
-                    self.last_connection_error = (
-                        f"producer {producer_id!r} moved to {owner.name}"
-                    )
-                    if not await flush():
-                        return
-                    await refuse_record(
-                        0, format_moved(self.table.epoch, owner)
-                    )
-                    return
                 try:
                     quota.charge(len(frame))
                 except QuotaExceededError as exc:

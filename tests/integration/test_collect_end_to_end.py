@@ -1,10 +1,11 @@
 """End-to-end: durable and networked collection match in-memory exactly.
 
 The acceptance bar for the collection subsystem: on the same seed, the
-spill→replay path and the socket-ingest path must produce *estimates
-bit-identical* to the in-memory ``stream_counts`` path — not close, not
-statistically indistinguishable: identical float64 arrays, because every
-path aggregates the very same integer counts.
+spill→replay path and socket ingest through the collection service
+must produce *estimates bit-identical* to the in-memory
+``stream_counts`` path — not close, not statistically
+indistinguishable: identical float64 arrays, because every path
+aggregates the very same integer counts.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ import pytest
 
 from repro.mechanisms import OptimizedUnaryEncoding
 from repro.pipeline import (
-    Collector,
+    CollectionService,
     ShardedRunner,
     ShardStore,
-    send_frames,
+    send_records,
     shard_bounds,
-    stream_counts,
 )
 from repro.pipeline.collect import wire
 
 M, N, CHUNK, SHARDS, SEED = 24, 900, 128, 3, 42
+KEY = "end-to-end-round-key"
 
 
 @pytest.fixture(params=["bitexact", "fast"])
@@ -79,10 +80,32 @@ class TestSpillReplayPath:
         assert all(entry["match"] for entry in audit.values())
 
 
+async def _serve_and_send(root, producers):
+    """Run a service, ship each ``(producer_id, frames)`` concurrently.
+
+    Returns the per-producer acks and the (closed) service.
+    """
+    service = CollectionService(M, key=KEY, store_root=root)
+    host, port = await service.serve()
+    try:
+        acks = await asyncio.gather(
+            *(
+                send_records(
+                    host, port, frames, key=KEY, producer_id=producer, m=M
+                )
+                for producer, frames in producers
+            )
+        )
+    finally:
+        await service.close()
+    return acks, service
+
+
 class TestSocketIngestPath:
-    def test_estimates_bit_identical(self, workload, sampler):
-        """Each shard streams per-chunk frames to a live collector over a
-        localhost socket; the collector's round equals the in-memory one."""
+    def test_estimates_bit_identical(self, workload, sampler, tmp_path):
+        """Each shard streams per-chunk records to the collection service
+        over a localhost socket; the service's round equals the in-memory
+        one."""
         mechanism, items = workload
         reference = _in_memory_reference(mechanism, items, sampler)
 
@@ -108,25 +131,20 @@ class TestSocketIngestPath:
             ]
             shard_frames.append(frames)
 
-        async def scenario():
-            collector = Collector(M)
-            host, port = await collector.serve()
-            try:
-                acks = await asyncio.gather(
-                    *(
-                        send_frames(host, port, frames)
-                        for frames in shard_frames
-                    )
-                )
-            finally:
-                await collector.close()
-            return acks, collector
-
-        acks, collector = asyncio.run(scenario())
-        assert sum(acks) == sum(len(frames) for frames in shard_frames)
-        assert collector.accumulator.digest() == reference.digest()
+        acks, service = asyncio.run(
+            _serve_and_send(
+                str(tmp_path / "service"),
+                [
+                    (f"shard-{index}", frames)
+                    for index, frames in enumerate(shard_frames)
+                ],
+            )
+        )
+        statuses = [ack.status for shard_acks in acks for ack in shard_acks]
+        assert statuses == [wire.ACK_MERGED] * sum(map(len, shard_frames))
+        assert service.accumulator.digest() == reference.digest()
         assert np.array_equal(
-            collector.accumulator.estimate(mechanism),
+            service.accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )
 
@@ -134,7 +152,7 @@ class TestSocketIngestPath:
 class TestSnapshotRelayPath:
     def test_worker_snapshots_over_socket_match(self, workload, sampler, tmp_path):
         """PrivCount shape: shards spill locally, ship only snapshots; the
-        collector's merge equals the reference bit for bit."""
+        service's merge equals the reference bit for bit."""
         mechanism, items = workload
         reference = _in_memory_reference(mechanism, items, sampler)
         runner = ShardedRunner(
@@ -148,21 +166,21 @@ class TestSnapshotRelayPath:
         runner.run(items, seed=SEED, spill_dir=str(tmp_path / "round"))
         store = ShardStore(str(tmp_path / "round"))
 
-        async def scenario():
-            collector = Collector(M)
-            host, port = await collector.serve()
-            try:
-                for shard_id in store.shard_ids():
-                    await send_frames(
-                        host, port, [store.load_snapshot(shard_id)]
+        acks, service = asyncio.run(
+            _serve_and_send(
+                str(tmp_path / "service"),
+                [
+                    (
+                        f"shard-{shard_id}",
+                        [wire.dumps(store.load_snapshot(shard_id))],
                     )
-            finally:
-                await collector.close()
-            return collector
-
-        collector = asyncio.run(scenario())
-        assert collector.accumulator.digest() == reference.digest()
+                    for shard_id in store.shard_ids()
+                ],
+            )
+        )
+        assert [ack.status for (ack,) in acks] == [wire.ACK_MERGED] * SHARDS
+        assert service.accumulator.digest() == reference.digest()
         assert np.array_equal(
-            collector.accumulator.estimate(mechanism),
+            service.accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )

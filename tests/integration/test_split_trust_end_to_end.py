@@ -21,7 +21,6 @@ from __future__ import annotations
 import asyncio
 import glob
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -275,7 +274,10 @@ class TestAdversarialCollectorCompromise:
         # the spill plus the accumulated snapshot) and test bit balance
         # at 4.5 sigma — real counts (tiny integers, top bits all zero)
         # fail this by dozens of sigma.
-        frames = list(wire.iter_frames(io.BytesIO(spill)))
+        frames, offset = [], 0
+        while offset < len(spill):
+            obj, offset = wire.decode_frame_at(spill, offset)
+            frames.append(obj)
         assert frames and all(
             isinstance(obj, wire.BlindedCounts) for obj in frames
         )

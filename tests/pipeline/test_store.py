@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestSpillReplay:
     def test_snapshot_frame_in_chunk_file_rejected(self, tmp_path):
         store = ShardStore(tmp_path / "round")
         with open(store.chunk_path(0), "wb") as handle:
-            wire.write_frame(handle, CountAccumulator(8))
+            handle.write(wire.dumps(CountAccumulator(8)))
         with pytest.raises(WireFormatError, match="non-chunk"):
             store.replay_shard(0)
 
@@ -199,3 +201,111 @@ class TestReplayAndAudit:
         store = ShardStore(tmp_path / "round")
         with pytest.raises(ValidationError, match="no spilled shards"):
             store.replay_and_audit()
+
+
+def _mapped_paths() -> set[str]:
+    """Files this process currently has mapped (Linux only)."""
+    with open("/proc/self/maps", encoding="utf-8") as handle:
+        return {line.split(maxsplit=5)[-1].strip() for line in handle}
+
+
+needs_proc_maps = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+
+
+class TestWalk:
+    def _frames(self, store, m=8):
+        """Three chunk frames spilled to shard 0; returns their bytes."""
+        rows = [np.full((k, 1), k, dtype=np.uint8) for k in (2, 0, 5)]
+        frames = [wire.dump_chunk(r, m) for r in rows]
+        with open(store.chunk_path(0), "wb") as handle:
+            handle.write(b"".join(frames))
+        return frames
+
+    def test_yields_end_offsets_and_objects(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        ends, sizes = [], []
+        for end, chunk in store.walk(0):
+            ends.append(end)
+            sizes.append(chunk.n)
+        assert ends == list(np.cumsum([len(f) for f in frames]))
+        assert sizes == [2, 0, 5]
+
+    def test_start_offset_resumes_mid_spill(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        start = len(frames[0])
+        assert [chunk.n for _, chunk in store.walk(0, start=start)] == [0, 5]
+        total = sum(len(f) for f in frames)
+        assert list(store.walk(0, start=total)) == []
+
+    def test_walk_ends_at_the_size_it_mapped(self, tmp_path):
+        # A frame appended mid-walk (a live service's next commit) is
+        # not read half-written: the walk covers the spill it mapped.
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        walked = []
+        for end, _ in store.walk(0):
+            if not walked:
+                with open(store.chunk_path(0), "ab") as handle:
+                    handle.write(frames[0])
+            walked.append(end)
+        assert walked[-1] == sum(len(f) for f in frames)
+        assert len(walked) == 3
+
+    def test_empty_spill_yields_nothing(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        open(store.chunk_path(0), "wb").close()
+        assert list(store.walk(0)) == []
+
+    def test_torn_tail_is_loud_after_the_complete_frames(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        with open(store.chunk_path(0), "ab") as handle:
+            handle.write(frames[2][:-3])
+        seen = []
+        with pytest.raises(WireFormatError, match="truncated"):
+            for end, _ in store.walk(0):
+                seen.append(end)
+        assert len(seen) == 3
+
+    def test_corrupt_frame_midway_is_loud(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        with open(store.chunk_path(0), "r+b") as handle:
+            handle.seek(len(frames[0]) + len(frames[1]) - 1)
+            handle.write(b"\xff")  # inside frame 1's payload CRC
+        seen = []
+        with pytest.raises(WireFormatError, match="checksum"):
+            for end, _ in store.walk(0):
+                seen.append(end)
+        assert seen == [len(frames[0])]
+
+    def test_read_ranges_copies_exact_frames(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        frames = self._frames(store)
+        first, second = len(frames[0]), len(frames[0]) + len(frames[1])
+        end = second + len(frames[2])
+        assert store.read_ranges(0, [(0, first), (second, end)]) == [
+            frames[0],
+            frames[2],
+        ]
+        assert store.read_ranges(0, []) == []
+        with pytest.raises(WireFormatError, match="ends before"):
+            store.read_ranges(0, [(second, end + 1)])
+
+    @needs_proc_maps
+    def test_no_map_outlives_replay_or_recovery(self, tmp_path, rng):
+        # A mapping left behind would alias pages a later rollback can
+        # truncate away; every walk's consumer must let it close.
+        store = ShardStore(tmp_path / "round")
+        _spill_one_shard(store, 0, rng.integers(0, 2, (20, 9)), m=9)
+        path = store.chunk_path(0)
+        store.replay_shard(0)
+        assert path not in _mapped_paths()
+        with open(path, "ab") as handle:
+            handle.write(b"torn")
+        assert store.recover_shard(0)["discarded_bytes"] == 4
+        assert path not in _mapped_paths()

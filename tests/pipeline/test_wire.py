@@ -1,8 +1,6 @@
-"""Unit tests for the wire-format encoder/decoder and stream IO."""
+"""Unit tests for the wire-format encoder/decoder."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
@@ -91,14 +89,15 @@ class TestChunkRoundTrip:
             wire.dumps({"counts": [1, 2]})
 
 
-class TestStreamIO:
-    def test_concatenated_frames_iterate_in_order(self):
+class TestConcatenatedFrames:
+    def test_concatenated_frames_decode_in_order(self):
         objs = [_accumulator(seed=3), _chunk(seed=4), _accumulator(m=5, seed=5)]
-        buffer = io.BytesIO()
-        for obj in objs:
-            wire.write_frame(buffer, obj)
-        buffer.seek(0)
-        decoded = list(wire.iter_frames(buffer))
+        blob = b"".join(wire.dumps(obj) for obj in objs)
+        decoded, offset = [], 0
+        while offset < len(blob):
+            obj, offset = wire.decode_frame_at(blob, offset)
+            decoded.append(obj)
+        assert offset == len(blob)  # the walk ends exactly on a boundary
         assert len(decoded) == 3
         assert isinstance(decoded[0], CountAccumulator)
         assert isinstance(decoded[1], wire.PackedChunk)
@@ -106,22 +105,11 @@ class TestStreamIO:
         assert np.array_equal(decoded[1].rows, objs[1].rows)
         assert decoded[2].digest() == objs[2].digest()
 
-    def test_read_frame_returns_none_at_clean_eof(self):
-        buffer = io.BytesIO()
-        wire.write_frame(buffer, _accumulator())
-        buffer.seek(0)
-        assert wire.read_frame(buffer) is not None
-        assert wire.read_frame(buffer) is None
-
-    def test_read_frame_raises_on_midframe_eof(self):
-        buffer = io.BytesIO()
-        wire.write_frame(buffer, _accumulator())
-        truncated = io.BytesIO(buffer.getvalue()[:-3])
+    def test_midframe_end_is_loud(self):
+        truncated = wire.dumps(_accumulator())[:-3]
         with pytest.raises(WireFormatError, match="truncated"):
-            list(wire.iter_frames(truncated))
+            wire.decode_frame_at(truncated, 0)
 
-    def test_write_frame_returns_byte_count(self):
-        buffer = io.BytesIO()
-        written = wire.write_frame(buffer, _accumulator(m=8))
-        assert written == len(buffer.getvalue())
-        assert written == wire.HEADER_SIZE + 8 * 8 + 4
+    def test_snapshot_frame_size(self):
+        frame = wire.dumps(_accumulator(m=8))
+        assert len(frame) == wire.HEADER_SIZE + 8 * 8 + 4

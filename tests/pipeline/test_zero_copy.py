@@ -80,15 +80,18 @@ class TestChunkDecodeIsZeroCopy:
         expected.add_packed_reports(rows)
         assert acc.digest() == expected.digest()
 
-    def test_read_frame_payload_is_a_view(self, copy_log):
-        import io
-
+    def test_store_walk_payload_is_a_view(self, copy_log, tmp_path):
         rng = np.random.default_rng(4)
         rows, frame = _chunk_frame(rng, 64, 99)
-        chunk = wire.read_frame(io.BytesIO(frame))
+        store = ShardStore(str(tmp_path))
+        with open(store.chunk_path(0), "wb") as handle:
+            handle.write(frame)
+        for end, chunk in store.walk(0):
+            assert end == len(frame)
+            assert not chunk.rows.flags.owndata
+            assert not chunk.rows.flags.writeable  # a read-only map
+            assert np.array_equal(chunk.rows, rows)
         assert copy_log == []
-        assert not chunk.rows.flags.owndata
-        assert np.array_equal(chunk.rows, rows)
 
 
 class TestDecodeFrameAt:

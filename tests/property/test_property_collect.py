@@ -9,7 +9,10 @@ cases a hand-written test thinks of:
   single-pass aggregation — with every shard making a wire round trip
   first, the cross-machine shape;
 * spill → replay through a :class:`ShardStore` reproduces the in-memory
-  counts bit for bit, for both the ``bitexact`` and ``fast`` samplers.
+  counts bit for bit, for both the ``bitexact`` and ``fast`` samplers;
+* the store's spill walk yields every frame at its exact boundary, and
+  crash recovery's tail scan lands on the last complete frame wherever
+  the spill was cut.
 """
 
 from __future__ import annotations
@@ -130,3 +133,60 @@ class TestSpillReplayBitExact:
         assert spilled.digest() == in_memory.digest()
         assert replayed.digest() == in_memory.digest()
         assert np.array_equal(replayed.counts(), in_memory.counts())
+
+
+def _mixed_frames(m, seed, count):
+    """*count* frames of one width, chunks and snapshots interleaved."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for index in range(count):
+        if rng.random() < 0.3:
+            frames.append(wire.dumps(_random_accumulator(m, 0, seed + index)))
+        else:
+            rows = rng.integers(0, 2, (int(rng.integers(0, 9)), m), dtype=np.uint8)
+            frames.append(wire.dump_chunk(np.packbits(rows, axis=1), m))
+    return frames
+
+
+class TestSpillWalk:
+    @given(widths, seeds, st.integers(1, 12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_walk_yields_every_frame_at_its_boundary(self, m, seed, count, data):
+        frames = _mixed_frames(m, seed, count)
+        first = data.draw(st.integers(0, count), label="first")
+        ends = np.cumsum([len(frame) for frame in frames]).tolist()
+        with tempfile.TemporaryDirectory() as root:
+            store = ShardStore(root)
+            with open(store.chunk_path(0), "wb") as handle:
+                handle.write(b"".join(frames))
+            start = ends[first - 1] if first else 0
+            walked = [
+                (end, wire.dumps(obj))
+                for end, obj in store.walk(0, start=start)
+            ]
+        assert walked == list(zip(ends[first:], frames[first:]))
+
+    @given(widths, seeds, st.integers(1, 12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_tail_scan_keeps_the_complete_frames(self, m, seed, count, data):
+        frames = _mixed_frames(m, seed, count)
+        blob = b"".join(frames)
+        cut = data.draw(st.integers(0, len(blob)), label="cut")
+        boundaries = [
+            end
+            for end in np.cumsum([len(frame) for frame in frames]).tolist()
+            if end <= cut
+        ]
+        with tempfile.TemporaryDirectory() as root:
+            store = ShardStore(root)
+            with open(store.chunk_path(0), "wb") as handle:
+                handle.write(blob[:cut])
+            recovered = store.recover_shard(0)
+            survivors = [wire.dumps(obj) for _, obj in store.walk(0)]
+        kept = boundaries[-1] if boundaries else 0
+        assert recovered == {
+            "offset": kept,
+            "frames": len(boundaries),
+            "discarded_bytes": cut - kept,
+        }
+        assert survivors == frames[: len(boundaries)]

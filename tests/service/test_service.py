@@ -628,3 +628,34 @@ class TestPipelineFlowControl:
         service, acks = asyncio.run(main())
         assert [a.status for a in acks] == [wire.ACK_MERGED]
         assert "mid-frame" in service.last_connection_error
+
+
+class TestSessionGate:
+    def test_revocation_is_checked_once_per_record(self, tmp_path):
+        """The revocation/ownership gate runs once after each read
+        attempt — once per record, plus the odd idle-poll tick — not
+        once before and again after every frame."""
+        records = 24
+        calls = []
+
+        async def scenario(service, host, port):
+            is_revoked = service.keys.is_revoked
+
+            def counting(producer_id):
+                calls.append(producer_id)
+                return is_revoked(producer_id)
+
+            service.keys.is_revoked = counting
+            return await send_records(
+                host,
+                port,
+                [_chunk_frame(seed=seed) for seed in range(records)],
+                key=KEY,
+                producer_id="gated",
+                m=M,
+            )
+
+        service, acks = _run(scenario, tmp_path)
+        assert [a.status for a in acks] == [wire.ACK_MERGED] * records
+        assert set(calls) == {"gated"}
+        assert records <= len(calls) <= records + 4

@@ -170,6 +170,30 @@ class TestServiceCLI:
         assert "merged exactly once" in out
         assert "deduplicated" in out
 
+    def test_collect_without_key_uses_service(self, capsys):
+        """Keyless --collect still goes through the exactly-once service,
+        authenticated with a key generated for the one run."""
+        assert (
+            main(
+                [
+                    "pipeline",
+                    "--n", "600",
+                    "--m", "24",
+                    "--shards", "2",
+                    "--chunk-size", "128",
+                    "--sampler", "fast",
+                    "--packed",
+                    "--collect",
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "service collect: 1 record(s) merged exactly once" in out
+        assert "(a one-run key)" in out
+        assert "1 blind resend(s) deduplicated" in out
+        assert "socket collect" not in out
+
     def test_serve_requires_auth_key(self, tmp_path):
         with pytest.raises(SystemExit, match="auth-key"):
             main(["serve", "--m", "8", "--spill-dir", str(tmp_path / "r")])
