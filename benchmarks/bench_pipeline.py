@@ -51,7 +51,7 @@ def bench_streamed_exact_counts(benchmark, workload, record_result, record_json)
         "pipeline_streamed_exact",
         n=N_USERS,
         m=DOMAIN,
-        secs=secs,
+        mean_secs=secs,
         bits_per_sec=N_USERS * DOMAIN / secs,
     )
     record_result(
@@ -83,7 +83,7 @@ def bench_streamed_fast_sampler_counts(benchmark, workload, record_result, recor
         "pipeline_streamed_fast",
         n=N_USERS,
         m=DOMAIN,
-        secs=secs,
+        mean_secs=secs,
         bits_per_sec=N_USERS * DOMAIN / secs,
     )
     record_result(
@@ -129,7 +129,7 @@ def bench_fast_binomial_baseline(benchmark, workload, record_result, record_json
         np.random.default_rng(1),
     )
     secs = benchmark.stats["mean"]
-    record_json("pipeline_fast_baseline", n=N_USERS, m=DOMAIN, secs=secs)
+    record_json("pipeline_fast_baseline", n=N_USERS, m=DOMAIN, mean_secs=secs)
     record_result(
         "pipeline_fast_baseline",
         f"fast binomial baseline: n={N_USERS}, m={DOMAIN}\n"

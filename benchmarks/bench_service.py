@@ -6,12 +6,15 @@ Three numbers gate the service design:
   handshake, per-record spill fsync + ledger fsync, per-record acks)
   must stay within 2.2x of a raw framing loop on the *same* frames —
   one connection, frames decoded and merged into a staging
-  accumulator, one count ack at EOF, no auth and no durability; both
-  are measured here back to back and the ratio is recorded.  (Typical
-  measurement is ~1.8x; the bar carries headroom because both sides of
-  the ratio are fsync-noise-dominated minima, and the multi-round
-  commit scheduler trades a scheduling hop per batch on this
-  single-connection path for its cross-connection coalescing.)
+  accumulator, one count ack at EOF, no auth and no durability.  A
+  sample is four 20-frame sessions (a fresh service or raw server for
+  each), service and raw samples run in interleaved pairs, and the
+  gate is the median of the per-pair ratios, recorded with its
+  quartiles and range: one fsync stall moves one pair, not the
+  verdict.  (Medians of 1.8-2.0x were measured on a shared 2-vCPU
+  box; the multi-round commit scheduler trades a scheduling hop per
+  batch on this single-connection path for its cross-connection
+  coalescing.)
 * **recovery latency** — how long a restart takes to load the ledger,
   truncate the spill to the committed offset, and replay the round.
 * **cross-connection group commit** — the multi-round scenario: 8
@@ -32,6 +35,7 @@ import struct
 import tempfile
 import time
 
+import numpy as np
 import pytest
 
 from repro import OptimizedUnaryEncoding
@@ -53,6 +57,10 @@ from repro.pipeline.service.rounds import apply_frame_object
 N_USERS = 40_000
 DOMAIN = 2_000
 CHUNK = 2_048
+#: Sessions per ingest sample: each carries the round's 20 frames, the
+#: per-session weight the 2.2x bar was set with, and four of them make a
+#: sample long enough (a few hundred ms) that no single fsync decides it.
+INGEST_SESSIONS = 4
 KEY = "benchmark-round-key-0123"
 
 # Scale-out scenario shape.  The smoke profile (BENCH_SCALEOUT_SMOKE=1,
@@ -180,64 +188,81 @@ def _raw_socket_ingest(frames) -> CountAccumulator:
 
 
 def bench_service_ingest(
-    benchmark, frames, scratch_roots, record_result, record_json, repeat
+    frames, scratch_roots, record_result, record_json, repeat
 ):
-    """Authenticated exactly-once ingest vs a raw framing loop."""
+    """Authenticated exactly-once ingest vs a raw framing loop.
 
-    def ingest_into_fresh_round() -> CollectionService:
-        # The service refuses to overwrite existing round state, so each
-        # benchmark iteration gets its own scratch root.
-        return _service_ingest(frames, scratch_roots())
+    A sample is ``INGEST_SESSIONS`` runs over the round's frames, each
+    into a fresh service (or raw server) over its own connection.
+    Service and raw samples alternate, pair by pair (which side goes
+    first alternates too), so both see the same machine state; the
+    gate is the median of the per-pair ratios.
+    """
+    pairs = repeat(11)
+    service_times, raw_times, ratios = [], [], []
+    for index in range(pairs):
+        timings = {}
+        for side in ("service", "raw") if index % 2 == 0 else ("raw", "service"):
+            start = time.perf_counter()
+            for _ in range(INGEST_SESSIONS):
+                if side == "service":
+                    # The service refuses to overwrite existing round
+                    # state, so each session gets its own scratch root.
+                    service = _service_ingest(frames, scratch_roots())
+                else:
+                    raw = _raw_socket_ingest(frames)
+            timings[side] = time.perf_counter() - start
+        assert service.records_merged == len(frames)
+        assert raw.digest() == service.accumulator.digest()
+        service_times.append(timings["service"])
+        raw_times.append(timings["raw"])
+        ratios.append(timings["service"] / timings["raw"])
 
-    service = benchmark(ingest_into_fresh_round)
-    secs = benchmark.stats["mean"]
-    best_secs = benchmark.stats["min"]
-    assert service.records_merged == len(frames)
-
-    # The raw framing loop on the very same frames, for the ratio.  Both
-    # sides of the ratio use their best observation: fsync and
-    # scheduling noise dominate the tails on shared machines, and the
-    # bar is about the protocol's cost, not the disk's worst mood.
-    raw_runs = repeat(5)
-    raw_times = []
-    for _ in range(raw_runs):
-        start = time.perf_counter()
-        raw = _raw_socket_ingest(frames)
-        raw_times.append(time.perf_counter() - start)
-    assert raw.digest() == service.accumulator.digest()
-    raw_secs = min(raw_times)
-
-    wire_bits = 8 * sum(len(frame) for frame in frames)
-    ratio = best_secs / raw_secs
+    ratio_q1, ratio, ratio_q3 = np.quantile(ratios, [0.25, 0.5, 0.75])
+    service_secs = float(np.median(service_times))
+    raw_secs = float(np.median(raw_times))
+    best_over_best = min(service_times) / min(raw_times)
+    wire_bits = 8 * INGEST_SESSIONS * sum(len(frame) for frame in frames)
     record_json(
         "service_ingest",
         n=N_USERS,
         m=DOMAIN,
-        secs=secs,
-        bits_per_sec=wire_bits / secs,
+        bits_per_sec=wire_bits / service_secs,
         frames=len(frames),
-        service_mean_secs=secs,
-        service_best_secs=best_secs,
-        raw_best_secs=raw_secs,
-        raw_runs=raw_runs,
-        raw_best_bits_per_sec=wire_bits / raw_secs,
-        service_best_over_raw_best=ratio,
+        sessions=INGEST_SESSIONS,
+        pairs=pairs,
+        service_median_secs=service_secs,
+        service_best_secs=min(service_times),
+        raw_median_secs=raw_secs,
+        raw_best_secs=min(raw_times),
+        raw_median_bits_per_sec=wire_bits / raw_secs,
+        paired_ratio_median=float(ratio),
+        paired_ratio_q1=float(ratio_q1),
+        paired_ratio_q3=float(ratio_q3),
+        paired_ratio_min=min(ratios),
+        paired_ratio_max=max(ratios),
+        service_best_over_raw_best=best_over_best,
     )
     record_result(
         "service_ingest",
         "authenticated exactly-once ingest (handshake + fsync'd ledger): "
-        f"n={N_USERS}, m={DOMAIN}, {len(frames)} records\n"
-        f"service mean {secs * 1e3:.1f}ms -> "
-        f"{wire_bits / secs / 1e6:,.0f} Mbit/s wire, "
-        f"best {best_secs * 1e3:.1f}ms\n"
-        f"raw framing loop (no auth/durability), best of {raw_runs}: "
-        f"{raw_secs * 1e3:.1f}ms -> {wire_bits / raw_secs / 1e6:,.0f} Mbit/s wire\n"
-        f"exactly-once overhead, service best / raw best: {ratio:.2f}x "
-        "(acceptance bar: <= 2.2x)",
+        f"n={N_USERS}, m={DOMAIN}, {len(frames)} records a session, "
+        f"{INGEST_SESSIONS} sessions a sample, "
+        f"{pairs} interleaved service/raw pairs\n"
+        f"service median {service_secs * 1e3:.1f}ms -> "
+        f"{wire_bits / service_secs / 1e6:,.0f} Mbit/s wire, "
+        f"best {min(service_times) * 1e3:.1f}ms\n"
+        f"raw framing loop (no auth/durability) median {raw_secs * 1e3:.1f}ms "
+        f"-> {wire_bits / raw_secs / 1e6:,.0f} Mbit/s wire, "
+        f"best {min(raw_times) * 1e3:.1f}ms\n"
+        f"exactly-once overhead, median of paired service/raw ratios: "
+        f"{ratio:.2f}x (quartiles {ratio_q1:.2f}-{ratio_q3:.2f}x, range "
+        f"{min(ratios):.2f}-{max(ratios):.2f}x; acceptance bar: <= 2.2x); "
+        f"best / best {best_over_best:.2f}x",
     )
     assert ratio <= 2.2, (
-        f"authenticated ingest is {ratio:.2f}x the raw framing loop; "
-        "the acceptance bar is 2.2x"
+        f"authenticated ingest is {ratio:.2f}x the raw framing loop (median "
+        f"of {pairs} paired runs); the acceptance bar is 2.2x"
     )
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import sys
 
-REQUIRED_FIELDS = ("name", "n", "m", "secs", "bits_per_sec", "peak_rss", "cpu_count")
+REQUIRED_FIELDS = ("name", "n", "m", "bits_per_sec", "peak_rss", "cpu_count")
+#: A record's time field names its statistic; exactly one is present.
+TIME_FIELDS = ("mean_secs", "best_secs")
 
 
 def check(path: str) -> list[str]:
@@ -36,7 +38,14 @@ def check(path: str) -> list[str]:
                 f"record {record.get('name', '<unnamed>')!r} lacks {missing}"
             )
             continue
-        if record["secs"] <= 0 or (record["bits_per_sec"] or 0) < 0:
+        times = [key for key in TIME_FIELDS if key in record]
+        if len(times) != 1:
+            errors.append(
+                f"record {record['name']!r} needs exactly one of {TIME_FIELDS}, "
+                f"has {times}"
+            )
+            continue
+        if record[times[0]] <= 0 or (record["bits_per_sec"] or 0) < 0:
             errors.append(f"record {record['name']!r} has nonsense timings")
         if "backend" in record and record["name"].startswith(
             "throughput_sampler_fast_"

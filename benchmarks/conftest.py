@@ -7,8 +7,10 @@ output capture; EXPERIMENTS.md records the paper-vs-measured comparison.
 
 Performance benchmarks additionally emit machine-readable records: run
 with ``--json PATH`` (see ``make bench-json``) and every
-``record_json(...)`` call appends a ``{name, n, m, secs, bits_per_sec,
-peak_rss}`` entry, written as a JSON list at session end.  Committing
+``record_json(...)`` call appends a ``{name, n, m, bits_per_sec,
+peak_rss, cpu_count}`` entry plus its time field, named after its
+statistic (``mean_secs``, ``best_secs``), written as a JSON list at
+session end.  Committing
 those files under ``benchmarks/results/BENCH_*.json`` tracks the perf
 trajectory PR over PR.
 
@@ -88,18 +90,19 @@ def json_records(request):
 def record_json(json_records):
     """Append one perf record; a no-op sink unless ``--json`` was given.
 
-    Usage: ``record_json("stream_fast", n=..., m=..., secs=...,
-    bits_per_sec=...)``.  ``peak_rss`` (bytes, the process high-water
-    mark at record time — see :func:`_peak_rss_bytes`) is stamped
-    automatically; extra keyword fields pass through verbatim.
+    Usage: ``record_json("stream_fast", n=..., m=..., mean_secs=...,
+    bits_per_sec=...)``, the time field named after the statistic it
+    holds (``mean_secs`` over rounds, ``best_secs`` for best-of-N).
+    ``peak_rss`` (bytes, the process high-water mark at record time —
+    see :func:`_peak_rss_bytes`) and ``cpu_count`` are stamped
+    automatically; keyword fields pass through verbatim.
     """
 
-    def _record(name: str, *, n: int, m: int, secs: float, bits_per_sec=None, **extra):
+    def _record(name: str, *, n: int, m: int, bits_per_sec=None, **extra):
         entry = {
             "name": name,
             "n": int(n),
             "m": int(m),
-            "secs": float(secs),
             "bits_per_sec": None if bits_per_sec is None else float(bits_per_sec),
             "peak_rss": _peak_rss_bytes(),
             "cpu_count": os.cpu_count(),

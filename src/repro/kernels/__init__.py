@@ -43,6 +43,7 @@ from .bernoulli import (
     packed_bernoulli,
     packed_column_counts,
     packed_width,
+    spawn_generators,
 )
 from .config import BITEXACT, FAST, SamplerConfig, resolve_sampler
 
@@ -56,6 +57,7 @@ __all__ = [
     "packed_column_counts",
     "packed_width",
     "fixed_point_decompose",
+    "spawn_generators",
     "ComputeBackend",
     "NumpyBackend",
     "NumbaBackend",

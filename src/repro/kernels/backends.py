@@ -12,16 +12,20 @@ streaming engine, accumulator, CLI):
     :mod:`.bernoulli`, unchanged.
 
 ``threaded``
-    Tiles both kernels across a worker pool.  Sampling splits the row
-    range into fixed-size tiles, each drawn from its own
-    ``Generator.spawn`` child — the output is deterministic given the
-    parent generator and *independent of the worker count*, because
-    child streams are assigned by tile index, not by scheduling order.
+    Tiles both kernels across a worker pool created per call.  Sampling
+    splits the row range into fixed-size tiles, each drawn from its own
+    generator derived from the parent generator's state
+    (:func:`.bernoulli.spawn_generators`) — the output is a pure
+    function of that state and *independent of the worker count*,
+    because child streams are assigned by tile index, not by scheduling
+    order.
     Counting splits rows into tiles, popcounts each, and sums — exact
     integer math, so the result is bit-identical to ``numpy`` always.
     Inside each tile the work is delegated to an *inner* backend
     (``numba`` when importable, else ``numpy``), so the tiles actually
-    release the GIL where a JIT is present.
+    release the GIL where a JIT is present.  A call made off the main
+    thread (a chunk of the streaming engine's pool) runs its tiles
+    inline rather than nesting a second pool.
 
 ``numba`` (optional extra, graceful skip when absent)
     JIT-compiled kernels: a fused single-pass bit-plane combine for
@@ -43,10 +47,10 @@ The bit-exactness contract (see ``docs/kernels.md``):
   therefore cannot perturb bitexact streams no matter what they do.
 * **Sampling under ``exactness="fast"`` is distribution-correct only.**
   Backends may consume the generator differently (the threaded backend
-  spawns children; numba fuses plane draws), so fixed-seed bytes differ
-  across backends — but every released bit follows the same Bernoulli
-  law as the numpy kernel (verified by the cross-backend hypothesis
-  suite in ``tests/property/test_property_backends.py``).
+  derives per-tile generators; numba fuses plane draws), so fixed-seed
+  bytes differ across backends — but every released bit follows the
+  same Bernoulli law as the numpy kernel (verified by the cross-backend
+  hypothesis suite in ``tests/property/test_property_backends.py``).
 """
 
 from __future__ import annotations
@@ -271,14 +275,17 @@ class ThreadedBackend(ComputeBackend):
     ----------
     tile_rows:
         Rows per tile.  Sampling determinism is *defined* by this value
-        (each tile gets the ``Generator.spawn`` child at its tile
-        index), so it is part of the backend's identity, not a runtime
-        tuning knob: two ThreadedBackends with equal ``tile_rows``
-        produce identical output from the same generator regardless of
+        (each tile gets the generator at its tile index from
+        :func:`.bernoulli.spawn_generators`), so it is part of the
+        backend's identity, not a runtime tuning knob: two
+        ThreadedBackends with equal ``tile_rows`` produce identical
+        output from the same generator state regardless of
         ``max_workers`` or scheduling.
     max_workers:
         Pool size; defaults to the CPU count.  Purely a throughput
-        knob — never affects results.
+        knob — never affects results.  The pool lives for one kernel
+        call, so no thread outlives it (or crosses a fork); a call made
+        off the main thread runs its tiles inline.
     inner:
         Backend performing each tile's actual kernel work; defaults to
         ``numba`` when importable (tiles then release the GIL inside
@@ -302,18 +309,19 @@ class ThreadedBackend(ComputeBackend):
             numba = NumbaBackend()
             inner = numba if numba.available else NumpyBackend()
         self.inner = inner
-        self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
 
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="repro-kernels",
-                    )
-        return self._pool
+    def _map(self, fn, jobs: list) -> list:
+        """``[fn(job) for job in jobs]`` on a pool that lives for the call.
+
+        Off the main thread the tiles run inline: the caller is already
+        one of several workers (a chunk of the engine's pool), so a
+        second pool would only nest threads, not add CPUs.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            return [fn(job) for job in jobs]
+        workers = min(self.max_workers, len(jobs))
+        with ThreadPoolExecutor(workers, thread_name_prefix="repro-kernels") as pool:
+            return list(pool.map(fn, jobs))
 
     def _bounds(self, n: int) -> list[tuple[int, int]]:
         return [
@@ -328,16 +336,15 @@ class ThreadedBackend(ComputeBackend):
             return self.inner.packed_bernoulli(p, n, rng, precision=precision)
         bounds = self._bounds(n)
         # One child stream per tile, assigned by tile index before any
-        # work is submitted: the output is a pure function of (rng,
-        # tile_rows), independent of worker count and completion order.
-        children = rng.spawn(len(bounds))
-        tiles = list(
-            self._executor().map(
-                lambda job: self.inner.packed_bernoulli(
-                    p, job[0][1] - job[0][0], job[1], precision=precision
-                ),
-                zip(bounds, children),
-            )
+        # work is submitted: the output is a pure function of (rng
+        # state, tile_rows), independent of worker count and completion
+        # order.
+        jobs = list(zip(bounds, _bn.spawn_generators(rng, len(bounds))))
+        tiles = self._map(
+            lambda job: self.inner.packed_bernoulli(
+                p, job[0][1] - job[0][0], job[1], precision=precision
+            ),
+            jobs,
         )
         return np.vstack(tiles)
 
@@ -345,12 +352,11 @@ class ThreadedBackend(ComputeBackend):
         rows = packed.shape[0] if getattr(packed, "ndim", 0) == 2 else 0
         if rows <= self.tile_rows or self.max_workers == 1:
             return self.inner.packed_column_counts(packed, m)
-        bounds = self._bounds(rows)
-        partials = self._executor().map(
+        partials = self._map(
             lambda span: self.inner.packed_column_counts(
                 packed[span[0] : span[1]], m
             ),
-            bounds,
+            self._bounds(rows),
         )
         counts = np.zeros(m, dtype=np.int64)
         for partial in partials:

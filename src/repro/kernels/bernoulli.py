@@ -75,6 +75,21 @@ _RAW64_BACKENDS = tuple(
 #: word draws).  Measured on the pipeline benchmark; the optimum is flat.
 _CORRECTION_COST_WORDS = 5.0
 
+#: Output bytes one row block of the per-column kernel covers.  The
+#: block, one plane of raw words and one scratch buffer (about three
+#: times this) stay in a core's L2 cache while every plane runs over
+#: them, instead of each plane streaming the whole chunk through memory.
+_BLOCK_BYTES = 160 * 1024
+
+#: Lanes one pass of a per-column sparse correction covers, so a pass's
+#: position arrays hold rate x 2^22 hits (about 12k at Kosarak's 0.3%)
+#: rather than one entry per hit of the whole chunk.
+_CORRECTION_LANES = 1 << 22
+
+#: Input bytes one column band of the popcount covers; the adder's
+#: temporaries stay under about three times this.
+_POPCOUNT_BAND_BYTES = 1 << 20
+
 def packed_width(m: int) -> int:
     """Bytes per packed row for an ``m``-bit report (``ceil(m / 8)``)."""
     return -(-check_positive_int(m, "m") // 8)
@@ -88,6 +103,26 @@ def _raw_words(rng: np.random.Generator, count: int) -> np.ndarray:
     if isinstance(bit_generator, _RAW64_BACKENDS):
         return bit_generator.random_raw(count)
     return rng.integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+def spawn_generators(rng: np.random.Generator, count: int):
+    """*count* independent generators derived from *rng*'s state.
+
+    Draws 128 bits from *rng*, seeds a fresh ``SeedSequence`` with them
+    and yields, lazily and in order, a generator of *rng*'s
+    BitGenerator type over each ``spawn(count)`` child of it.  The
+    result is a pure function of *rng*'s state: unlike
+    ``Generator.spawn``, nothing is recorded on a ``SeedSequence``
+    that other generators share, so two generators seeded alike derive
+    identical children however often either has spawned before.
+    """
+    entropy = int.from_bytes(rng.bytes(16), "little")
+    kind = type(rng.bit_generator)
+    # SeedSequence(entropy).spawn(count)[i], built when it is needed.
+    return (
+        np.random.Generator(kind(np.random.SeedSequence(entropy, spawn_key=(i,))))
+        for i in range(count)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -262,41 +297,58 @@ def _uniform_planes(
     return result.view(np.uint8)[: n * width].reshape(n, width)
 
 
+def _plane_masks(thresholds: np.ndarray, precision: int) -> np.ndarray:
+    """Packed per-column threshold bits of every active plane, LSB first.
+
+    Planes below the lowest set bit of every threshold are identities
+    and get no row; pad columns carry ``T = 0``.
+    """
+    lowest = _trailing_zeros(int(np.bitwise_or.reduce(thresholds)), precision)
+    planes = np.arange(lowest, precision, dtype=np.uint64)
+    bits = (thresholds[np.newaxis, :] >> planes[:, np.newaxis]) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8), axis=1)
+
+
 def _column_planes(
     n: int,
     width: int,
-    thresholds: np.ndarray,
-    precision: int,
+    masks: np.ndarray,
+    flip: np.ndarray | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-column thresholds: plane masks broadcast over packed rows.
+    """Per-column thresholds: all plane masks over one row block at a time.
 
-    The recurrence for ``u < T`` with per-column threshold bit mask
-    ``t`` is ``r' = (t & u) | ((t ^ u) & r)`` (complement dropped as in
-    the uniform path).  Pad columns carry ``T = 0`` and therefore stay
-    zero, preserving the ``np.packbits`` tail convention.
+    With ``t`` a plane's threshold bit and ``v`` a fresh uniform word,
+    the recurrence for ``u < T`` (complement dropped as in the uniform
+    path) is ``r' = t ? (v | r) : (~v & r)``, written as the select
+    ``r' = r ^ ((r ^ t) & v)`` (``~v`` is as uniform as ``v``).  Every
+    plane runs over one :data:`_BLOCK_BYTES` row block, written in
+    place into the output, before the next block is drawn; *flip*
+    (the packed complement columns) is applied to each finished block.
     """
-    lowest = min(
-        (_trailing_zeros(int(t), precision) for t in thresholds), default=precision
-    )
-    result = None
-    for plane in range(lowest, precision):
-        plane_bits = ((thresholds >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
-        mask = np.packbits(plane_bits)  # zero-padded to the row width
-        if not mask.any() and result is None:
-            continue
-        words = _raw_words(rng, -(-(n * width) // 8))
-        u = words.view(np.uint8)[: n * width].reshape(n, width)
-        if result is None:
-            result = np.bitwise_and(u, mask, out=u)
-        else:
-            anded = mask & u
-            np.bitwise_xor(u, mask, out=u)
-            np.bitwise_and(u, result, out=u)
-            np.bitwise_or(u, anded, out=result)
-    if result is None:
-        result = np.zeros((n, width), dtype=np.uint8)
-    return result
+    packed = np.zeros((n, width), dtype=np.uint8)
+    if not len(masks):
+        if flip is not None:
+            packed[:] = flip
+        return packed
+    step = min(n, max(1, _BLOCK_BYTES // width))
+    scratch = np.empty(step * width, dtype=np.uint8)
+    for start in range(0, n, step):
+        block = packed[start : start + step]
+        size = block.size
+        temp = scratch[:size].reshape(block.shape)
+        for index, mask in enumerate(masks):
+            words = _raw_words(rng, -(-size // 8))
+            v = words.view(np.uint8)[:size].reshape(block.shape)
+            if index == 0:
+                np.bitwise_and(v, mask, out=block)
+            else:
+                np.bitwise_xor(block, mask, out=temp)
+                np.bitwise_and(temp, v, out=temp)
+                np.bitwise_xor(block, temp, out=block)
+        if flip is not None:
+            np.bitwise_xor(block, flip, out=block)
+    return packed
 
 
 def packed_bernoulli(
@@ -353,7 +405,11 @@ def packed_bernoulli(
         return packed
 
     thresholds, deltas, complements = fixed_point_decompose(probabilities, precision)
-    packed = _column_planes(n, width, thresholds, precision, rng)
+    # Pad columns are never complemented.
+    flip = np.packbits(complements) if complements.any() else None
+    packed = _column_planes(
+        n, width, _plane_masks(thresholds, precision), flip, rng
+    )
     # One sparse correction per distinct probability: the group count is
     # the number of parameter levels (t for IDUE), not m.
     _, first, inverse = np.unique(
@@ -365,10 +421,13 @@ def packed_bernoulli(
         if not rate:
             continue
         columns = np.flatnonzero(inverse == group)
-        _apply_correction(packed, n, columns, m, rate, delta > 0.0, rng)
-    if complements.any():
-        flip = np.packbits(complements)  # pad columns are never complemented
-        np.bitwise_xor(packed, flip, out=packed)
+        # The planes already complemented these columns, so raising the
+        # generated rate clears bits of a complemented column.
+        up = (delta > 0.0) != bool(complements[column_index])
+        step = max(1, _CORRECTION_LANES // columns.size)
+        for start in range(0, n, step):
+            rows = packed[start : start + step]
+            _apply_correction(rows, rows.shape[0], columns, m, rate, up, rng)
     return packed
 
 
@@ -399,6 +458,34 @@ def packed_assign_bits(packed: np.ndarray, columns, values) -> None:
 def packed_column_counts(packed: np.ndarray, m: int) -> np.ndarray:
     """Per-column 1-counts of a packed chunk without unpacking it.
 
+    The chunk is counted one column band at a time, each band about
+    :data:`_POPCOUNT_BAND_BYTES` of input, so the adder's temporaries
+    stay a few MB whatever the chunk size; see :func:`_vertical_counts`
+    for the adder itself.
+    """
+    if packed.ndim != 2 or packed.dtype != np.uint8:
+        raise ValidationError(
+            f"packed must be a 2-D uint8 matrix, got {packed.dtype} "
+            f"shape {getattr(packed, 'shape', None)}"
+        )
+    rows, width = packed.shape
+    if packed_width(m) != width:
+        raise ValidationError(
+            f"packed width {width} does not match m={m} (expected {packed_width(m)})"
+        )
+    band = max(1, _POPCOUNT_BAND_BYTES // max(1, rows))
+    if band >= width:
+        return _vertical_counts(packed, m)
+    counts = np.zeros(m, dtype=np.int64)
+    for first in range(0, width, band):
+        lo, hi = 8 * first, min(m, 8 * (first + band))
+        counts[lo:hi] = _vertical_counts(packed[:, first : first + band], hi - lo)
+    return counts
+
+
+def _vertical_counts(packed: np.ndarray, m: int) -> np.ndarray:
+    """Per-column 1-counts of one packed band (its first *m* bits).
+
     A vertical-counting (Harley–Seal style) popcount: rows are treated
     as 1-bit numbers and pairwise-added with bitwise full-adder logic,
     so after ``L`` halvings the chunk is ``rows / 2^L`` rows of
@@ -409,16 +496,6 @@ def packed_column_counts(packed: np.ndarray, m: int) -> np.ndarray:
     carry plane appended per level keeps every partial sum
     representable.
     """
-    if packed.ndim != 2 or packed.dtype != np.uint8:
-        raise ValidationError(
-            f"packed must be a 2-D uint8 matrix, got {packed.dtype} "
-            f"shape {getattr(packed, 'shape', None)}"
-        )
-    width = packed.shape[1]
-    if packed_width(m) != width:
-        raise ValidationError(
-            f"packed width {width} does not match m={m} (expected {packed_width(m)})"
-        )
     counts = np.zeros(m, dtype=np.int64)
     planes = [packed]  # planes[w] carries weight 2^w per set bit
     rows = packed.shape[0]

@@ -139,7 +139,9 @@ class ShardedRunner:
         User shards = worker tasks; defaults to the machine's CPU count.
     chunk_size:
         Users per chunk *within* each shard; bounds each worker's peak
-        memory at ``O(chunk_size * m)``.
+        memory at ``O(chunk_size * m)`` (a worker process counts its
+        chunks inline, one at a time; see
+        :func:`~repro.pipeline.engine.stream_counts`).
     packed:
         Ship each chunk through the ``np.packbits`` wire format.
     processes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -183,6 +184,44 @@ class TestThreadedBackend:
             0.37, 3000, np.random.default_rng(5)
         )
         assert np.array_equal(a, b)
+
+    def test_sampling_is_a_function_of_generator_state(self):
+        # Two generators over one SeedSequence start in the same state.
+        # Their tiles must not depend on how often that shared
+        # SeedSequence has spawned before (Generator.spawn records it).
+        seed = np.random.SeedSequence(21)
+        backend = ThreadedBackend(tile_rows=256, max_workers=2, inner=NumpyBackend())
+        a = backend.packed_bernoulli(0.37, 3000, FAST.make_generator(seed))
+        b = backend.packed_bernoulli(0.37, 3000, FAST.make_generator(seed))
+        assert np.array_equal(a, b)
+
+    def test_no_thread_outlives_a_call(self):
+        backend = ThreadedBackend(tile_rows=256, max_workers=3, inner=NumpyBackend())
+        before = threading.active_count()
+        packed = backend.packed_bernoulli(0.2, 3000, np.random.default_rng(1))
+        backend.packed_column_counts(packed, 8)
+        assert threading.active_count() == before
+
+    def test_tiles_run_inline_off_the_main_thread(self, monkeypatch):
+        # A caller on a worker thread (a chunk of the engine's pool)
+        # already has its CPU: the tiles must not start a pool of their
+        # own, and the output must not change.
+        backend = ThreadedBackend(tile_rows=256, max_workers=3, inner=NumpyBackend())
+        expected = backend.packed_bernoulli(0.37, 3000, np.random.default_rng(5))
+        monkeypatch.setattr(backends_module, "ThreadPoolExecutor", None)
+        results = {}
+
+        def run():
+            packed = backend.packed_bernoulli(0.37, 3000, np.random.default_rng(5))
+            results["counts"] = backend.packed_column_counts(packed, 8)
+            results["packed"] = packed
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert np.array_equal(results["packed"], expected)
+        assert np.array_equal(results["counts"], packed_column_counts(expected, 8))
 
     def test_sampling_tile_boundaries(self):
         backend = ThreadedBackend(tile_rows=64, max_workers=2, inner=NumpyBackend())

@@ -33,6 +33,7 @@ from repro.kernels import (
     packed_column_counts,
     packed_width,
 )
+from repro.kernels import bernoulli
 
 # Two-sided binomial p-value floor for single assertions.  With a fixed
 # seed the draw is deterministic, so this is a regression bound, not a
@@ -112,6 +113,63 @@ class TestPerColumnKernelStatistics:
         assert _binom_pvalue(int(counts[0]), n, float(mech.a[0])) > ALPHA
         rest = int(counts[1:].sum())
         assert _binom_pvalue(rest, n * (mech.m - 1), float(mech.b[1])) > ALPHA
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_block_boundaries(self, offset):
+        """n one below, at and one above a row block of the kernel.
+
+        Plain, complemented (p > 1/2) and exact (p in {0, 1}) columns
+        mixed over a ragged 13-byte row.
+        """
+        levels = np.array([0.0, 0.1824, 1.0, 0.66, 0.3, 0.95])
+        p = np.repeat(levels, 17)  # m = 102
+        n = bernoulli._BLOCK_BYTES // packed_width(p.size) + offset
+        packed, counts = _kernel_ones(p, n, seed=40 + offset)
+        assert not np.any(packed[:, -1] & 0b11)
+        assert not counts[p == 0.0].any()
+        assert np.all(counts[p == 1.0] == n)
+        for level in levels[(levels > 0.0) & (levels < 1.0)]:
+            mask = p == level
+            ones = int(counts[mask].sum())
+            assert _binom_pvalue(ones, n * int(mask.sum()), level) > ALPHA
+
+    def test_upload_record_shape(self):
+        """32,768 users at m = 18 (3-byte rows): the whole chunk is one block."""
+        p = np.array([0.12] * 7 + [0.31] * 7 + [0.74] * 4)
+        n = 32_768
+        packed, counts = _kernel_ones(p, n, seed=18)
+        assert packed.shape == (n, 3) and packed.flags.c_contiguous
+        assert not np.any(packed[:, -1] & 0b111111)
+        for level in np.unique(p):
+            mask = p == level
+            ones = int(counts[mask].sum())
+            assert _binom_pvalue(ones, n * int(mask.sum()), level) > ALPHA
+
+    def test_corrections_in_many_passes(self, monkeypatch):
+        """Row-segmented sparse corrections keep every level's law.
+
+        At precision 2 the corrections are dense (rates up to ~0.3) and
+        run both ways, on plain and complemented columns, so a wrong
+        direction moves a rate by many sigmas.  Levels 0.1 and 0.9 get
+        no plane at all (``T = 0``): every set (or, complemented,
+        cleared) bit is a correction, so each 50-row pass must show some.
+        """
+        monkeypatch.setattr(bernoulli, "_CORRECTION_LANES", 9 * 50)
+        levels = np.array([0.1, 0.1824, 0.66, 0.9])
+        p = np.repeat(levels, 9)  # 9 columns a level: 50 rows a pass
+        n = 6_000
+        packed, counts = _kernel_ones(p, n, seed=5, precision=2)
+        for level in levels:
+            mask = p == level
+            ones = int(counts[mask].sum())
+            assert _binom_pvalue(ones, n * int(mask.sum()), level) > ALPHA
+        bits = np.unpackbits(packed, axis=1, count=p.size)
+        per_pass = {
+            level: bits[:, p == level].reshape(n // 50, -1).sum(axis=1)
+            for level in (0.1, 0.9)
+        }
+        assert np.all(per_pass[0.1] > 0)
+        assert np.all(per_pass[0.9] < 50 * 9)
 
     def test_float32_path_matches_probabilities(self):
         mech = SymmetricUnaryEncoding(2.0, 40)
@@ -208,6 +266,16 @@ class TestPackedFormat:
         packed = np.packbits(reports, axis=1)
         assert np.array_equal(
             packed_column_counts(packed, 29), reports.sum(axis=0, dtype=np.int64)
+        )
+
+    @pytest.mark.parametrize("band_bytes", [1, 3, 64])
+    def test_column_counts_across_bands(self, monkeypatch, band_bytes):
+        monkeypatch.setattr(bernoulli, "_POPCOUNT_BAND_BYTES", band_bytes * 301)
+        rng = np.random.default_rng(1)
+        reports = (rng.random((301, 61)) < 0.41).astype(np.uint8)
+        packed = np.packbits(reports, axis=1)
+        assert np.array_equal(
+            packed_column_counts(packed, 61), reports.sum(axis=0, dtype=np.int64)
         )
 
     def test_column_counts_validation(self):

@@ -9,7 +9,7 @@ baseline under the kernel contracts:
   never reaches a compute backend — fixed-seed packed output is
   therefore byte-identical regardless of the configured backend;
 * ``exactness="fast"`` sampling may consume the generator differently
-  per backend (the threaded backend spawns child streams per tile), so
+  per backend (the threaded backend derives a generator per tile), so
   only the *distribution* is pinned: per-bit rates must sit inside a
   wide exact binomial envelope.
 

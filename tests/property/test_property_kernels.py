@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.kernels import FAST, packed_bernoulli, packed_column_counts
+from repro.kernels import FAST, bernoulli, packed_bernoulli, packed_column_counts
 
 # Any probability, with the awkward regions force-included.
 probabilities = st.one_of(
@@ -112,3 +112,25 @@ class TestKernelRateProperty:
         pad_bits = 8 * width - m
         if pad_bits:
             assert not np.any(packed[:, -1] & ((1 << pad_bits) - 1))
+
+
+class TestBandedPopcountProperty:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=0, max_value=300),
+        m=st.integers(min_value=1, max_value=130),
+        band_bytes=st.integers(min_value=1, max_value=2_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_unpacked_sum_for_any_band(self, seed, rows, m, band_bytes):
+        """Band edges, odd row counts and ragged tails never change a count."""
+        rng = np.random.default_rng(seed)
+        reports = rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
+        packed = np.packbits(reports, axis=1)
+        saved = bernoulli._POPCOUNT_BAND_BYTES
+        bernoulli._POPCOUNT_BAND_BYTES = band_bytes
+        try:
+            counts = packed_column_counts(packed, m)
+        finally:
+            bernoulli._POPCOUNT_BAND_BYTES = saved
+        assert np.array_equal(counts, reports.sum(axis=0, dtype=np.int64))
