@@ -78,7 +78,7 @@ def bench_collect_spill(
         "collect_spill",
         n=N_USERS,
         m=DOMAIN,
-        secs=secs,
+        mean_secs=secs,
         bits_per_sec=wire_bits / secs,
         spilled_bytes=store.spilled_bytes(),
     )
@@ -122,7 +122,7 @@ def bench_collect_replay(
         "collect_replay",
         n=N_USERS,
         m=DOMAIN,
-        secs=secs,
+        mean_secs=secs,
         bits_per_sec=wire_bits / secs,
         payload_copy_events=copies["events"],
         payload_copy_bytes=copies["bytes"],

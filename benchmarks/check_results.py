@@ -1,4 +1,4 @@
-"""Validate a BENCH_throughput.json produced by the smoke bench run.
+"""Validate benchmark records.
 
 ``make bench-smoke`` runs the throughput benchmarks at tiny scale
 (``BENCH_SMOKE=1``) and then asks this script one question: did every
@@ -7,19 +7,55 @@ well-formed record?  CI runs it twice — once without the numba extra
 (numpy + threaded) and once with it (all three) — so a backend that
 silently stops being exercised fails the job instead of rotting.
 
+With ``--records`` it checks committed records instead (by default
+every ``benchmarks/results/BENCH_*.json``): each record must carry
+``cpu_count``, and each time field must name the statistic it holds
+right before ``_secs`` (``mean_secs``, ``raw_median_secs``,
+``per_connection_best_secs``, ``once_secs`` for a single timing,
+``p99_secs``); a bare ``secs`` or a ``single_shard_secs`` fails.
+
 Usage::
 
     python benchmarks/check_results.py PATH_TO_BENCH_THROUGHPUT_JSON
+    python benchmarks/check_results.py --records [BENCH_*.json ...]
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import os
+import re
 import sys
 
 REQUIRED_FIELDS = ("name", "n", "m", "bits_per_sec", "peak_rss", "cpu_count")
 #: A record's time field names its statistic; exactly one is present.
 TIME_FIELDS = ("mean_secs", "best_secs")
+COMMITTED_RECORDS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "results", "BENCH_*.json"
+)
+#: A time field names its statistic in the word before ``_secs``.
+NAMED_SECS = re.compile(r"(?:\w+_)?(?:mean|median|best|min|max|once|p\d+)_secs")
+
+
+def check_records(paths: list[str]) -> list[str]:
+    """Every way the records in *paths* fail to say what they measured."""
+    errors: list[str] = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            records = json.load(handle)
+        for record in records:
+            where = f"{os.path.basename(path)}: {record.get('name')!r}"
+            if "cpu_count" not in record:
+                errors.append(f"{where} lacks cpu_count")
+            for key in record:
+                if (key == "secs" or key.endswith("_secs")) and not (
+                    NAMED_SECS.fullmatch(key)
+                ):
+                    errors.append(
+                        f"{where} field {key!r} does not name its statistic"
+                    )
+    return errors
 
 
 def check(path: str) -> list[str]:
@@ -64,6 +100,18 @@ def check(path: str) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    if argv[1:2] == ["--records"]:
+        paths = argv[2:] or sorted(glob.glob(COMMITTED_RECORDS))
+        errors = check_records(paths) if paths else ["no record files found"]
+        for error in errors:
+            print(f"FAIL: {error}", file=sys.stderr)
+        if errors:
+            return 1
+        print(
+            f"OK: {len(paths)} record file(s) carry cpu_count and name the "
+            "statistic of every time field"
+        )
+        return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

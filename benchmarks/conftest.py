@@ -8,11 +8,11 @@ output capture; EXPERIMENTS.md records the paper-vs-measured comparison.
 Performance benchmarks additionally emit machine-readable records: run
 with ``--json PATH`` (see ``make bench-json``) and every
 ``record_json(...)`` call appends a ``{name, n, m, bits_per_sec,
-peak_rss, cpu_count}`` entry plus its time field, named after its
-statistic (``mean_secs``, ``best_secs``), written as a JSON list at
-session end.  Committing
-those files under ``benchmarks/results/BENCH_*.json`` tracks the perf
-trajectory PR over PR.
+peak_rss, cpu_count}`` entry plus its time fields, each named after its
+statistic (``mean_secs``, ``best_secs``, ``raw_median_secs``, ...),
+written as a JSON list at session end.  Committing those files under
+``benchmarks/results/BENCH_*.json`` tracks the perf trajectory PR over
+PR; ``python benchmarks/check_results.py --records`` checks them.
 
 Smoke profiles (``BENCH_SMOKE=1`` or any ``BENCH_<NAME>_SMOKE=1``)
 shrink a benchmark to liveness-check size; their rendered results go to
@@ -91,14 +91,21 @@ def record_json(json_records):
     """Append one perf record; a no-op sink unless ``--json`` was given.
 
     Usage: ``record_json("stream_fast", n=..., m=..., mean_secs=...,
-    bits_per_sec=...)``, the time field named after the statistic it
-    holds (``mean_secs`` over rounds, ``best_secs`` for best-of-N).
+    bits_per_sec=...)``, each time field named after the statistic it
+    holds (``mean_secs`` over rounds, ``best_secs`` for best-of-N,
+    ``once_secs`` for a single timing); a bare ``secs`` is refused.
     ``peak_rss`` (bytes, the process high-water mark at record time —
     see :func:`_peak_rss_bytes`) and ``cpu_count`` are stamped
     automatically; keyword fields pass through verbatim.
     """
 
     def _record(name: str, *, n: int, m: int, bits_per_sec=None, **extra):
+        if "secs" in extra:
+            raise ValueError(
+                f"record {name!r}: name the statistic a time field holds "
+                "(mean_secs, best_secs, median_secs, once_secs, ...), not "
+                "a bare secs"
+            )
         entry = {
             "name": name,
             "n": int(n),

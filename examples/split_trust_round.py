@@ -23,6 +23,7 @@ from repro.pipeline.collect import wire
 from repro.pipeline.service import combine_accumulators, send_split_trust
 
 M = 64  # report width in bits
+ROUND = 0  # the one round every party hosts
 COLLECTOR_KEY = "collector-registry-secret"
 KEEPER_KEYS = {  # each keeper has its OWN producer-key registry
     "keeper-north": "north-registry-secret",
@@ -44,13 +45,16 @@ async def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         # 1. Three parties: a blinded collector and two share keepers.
         collector = CollectionService(
-            M, key=COLLECTOR_KEY, store_root=f"{root}/collector", mode="blinded"
+            rounds=[(M, ROUND)],
+            key=COLLECTOR_KEY,
+            store_root=f"{root}/collector",
+            mode="blinded",
         )
         collector_address = await collector.serve()
         keepers, addresses = {}, {}
         for keeper_id, key in KEEPER_KEYS.items():
             keeper = CollectionService(
-                M,
+                rounds=[(M, ROUND)],
                 key=key,
                 store_root=f"{root}/{keeper_id}",
                 mode="keeper",
@@ -98,7 +102,7 @@ async def main() -> None:
         print(f"resend:    {len(statuses)} records, all ACK_DUPLICATE")
 
         # 4. What would a compromised collector see?  Uniform words.
-        words = collector.accumulator.words()
+        words = collector.round(ROUND).accumulator.words()
         top_bytes = words.view(np.uint8).reshape(-1, 8)[:, 7]
         print(
             f"collector: {words.size} blinded words, "
@@ -111,8 +115,8 @@ async def main() -> None:
 
         # 5. The only place the plain tally ever exists: the combine.
         combined = combine_accumulators(
-            collector.accumulator,
-            [keeper.accumulator for keeper in keepers.values()],
+            collector.round(ROUND).accumulator,
+            [keeper.round(ROUND).accumulator for keeper in keepers.values()],
         )
         assert combined.digest() == reference.digest()
         print(

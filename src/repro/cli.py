@@ -223,8 +223,7 @@ def _collect_over_service(args, accumulator) -> None:
 
     async def _round_trip() -> tuple[int, int]:
         service = CollectionService(
-            accumulator.m,
-            round_id=accumulator.round_id,
+            rounds=[(accumulator.m, accumulator.round_id)],
             store_root=store_root,
             **service_auth,
         )
@@ -251,7 +250,8 @@ def _collect_over_service(args, accumulator) -> None:
                     )
         finally:
             await service.close()
-        if service.accumulator.digest() != accumulator.digest():
+        merged_state = service.round(accumulator.round_id).accumulator
+        if merged_state.digest() != accumulator.digest():
             raise SystemExit(
                 "service collection FAILED: merged state does not match "
                 "the in-memory accumulator"
@@ -421,8 +421,10 @@ def _run_serve(args) -> None:
     ``--exit-after N`` stops once N records have merged (smoke tests,
     bounded rounds); otherwise the service runs until interrupted.
     Either way shutdown is graceful: handlers cancelled, spill + ledger
-    synced, final snapshots written atomically.  ``--rounds-config``
-    hosts many concurrent rounds; ``--keys-file`` authenticates each
+    synced, final snapshots written atomically.  ``--m M [--round-id
+    R]`` hosts one round (a one-element round list, under
+    ``<spill-dir>/round_<R>/``); ``--rounds-config`` hosts many
+    concurrent rounds; ``--keys-file`` authenticates each
     producer with its own key (the file hot-reloads on change, so keys
     rotate without a restart).  ``--shard NAME --control-key KEY`` runs
     the service as one named shard of a scale-out fleet: the control
@@ -481,19 +483,15 @@ def _run_serve(args) -> None:
         }
         if args.rounds_config is not None:
             rounds = _load_rounds_config(args.rounds_config)
-            service = CollectionService(rounds=rounds, **kwargs)
-            geometry = ", ".join(
-                f"round {state.round_id} (m={state.m})"
-                for state in service.registry.rounds()
-            )
         elif args.control_key is not None:
-            service = CollectionService(rounds=[], **kwargs)
-            geometry = "bare shard; rounds arrive over the control plane"
+            rounds = []
         else:
-            service = CollectionService(
-                args.m, round_id=args.round_id, **kwargs
-            )
-            geometry = f"m={args.m}, round={args.round_id}"
+            rounds = [{"m": args.m, "round_id": args.round_id}]
+        service = CollectionService(rounds=rounds, **kwargs)
+        geometry = ", ".join(
+            f"round {state.round_id} (m={state.m})"
+            for state in service.registry.rounds()
+        ) or "bare shard; rounds arrive over the control plane"
         host, port = await service.serve(args.host, args.port)
         resumed = (
             f", resumed {service.recovered_records} ledgered record(s)"
@@ -939,7 +937,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="pipeline: spill packed report chunks + shard snapshots to DIR "
         "(wire-format ShardStore), then audit the round by out-of-core "
-        "replay against the snapshot digests",
+        "replay against the snapshot digests; serve: the store root, "
+        "each hosted round under DIR/round_<id>/",
     )
     parser.add_argument(
         "--collect",

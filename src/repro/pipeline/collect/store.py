@@ -219,8 +219,8 @@ class ShardChunkWriter:
         With *finalize* (the default) an empty spill gets its one empty
         chunk frame so the file pins ``(m, round_id)``.  ``finalize=
         False`` skips that — the teardown for a writer whose round
-        never came to exist (a failed multi-round service constructor
-        must be able to drop handles without manufacturing state).
+        never came to exist (a failed service constructor must be able
+        to drop handles without manufacturing state).
         """
         if self._handle is None:
             return
@@ -257,7 +257,7 @@ class ShardStore:
     def namespaced(self, name) -> "ShardStore":
         """A child store rooted at ``<root>/<name>``.
 
-        The multi-round service hosts one round per namespace
+        The collection service hosts one round per namespace
         (``round_00007/``, ...) under a single operator-facing
         directory; each namespace is a complete, self-contained store —
         its own spill files, snapshots, and (for a service round)

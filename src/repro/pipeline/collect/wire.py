@@ -36,16 +36,17 @@ version-gated: the core data frames (kinds 1-2) still encode as version
 while kinds 3-7 encode as version 2, and a reader refuses a kind paired
 with the wrong version.
 
-Version 3 adds *round-scoped session binding* for the multi-round
-service: a :class:`SessionChallenge` may carry a 16-byte *round token*
-(the hosted round's registration epoch) after the server nonce, and the
-producer's proof MAC must bind it — so a proof minted against one
-hosted incarnation of a round can never be spent against another, even
-one re-registered under the same ``round_id`` after a key rotation.
-The gate is per *object*, not per kind: a challenge without a token
-still encodes as version 2, byte-identical to every committed fixture;
-only a token-carrying challenge encodes as version 3, and a reader
-refuses a 32-byte challenge payload claiming version 2 (or vice versa).
+Version 3 adds *round-scoped session binding*: a
+:class:`SessionChallenge` carries a 16-byte *round token* (the hosted
+round's registration epoch) after the server nonce, and the producer's
+proof MAC must bind it — so a proof minted against one hosted
+incarnation of a round can never be spent against another, even one
+re-registered under the same ``round_id`` after a key rotation.  Every
+challenge a service sends carries a token.  The gate is per *object*,
+not per kind: a challenge without a token still encodes as version 2,
+byte-identical to the committed fixtures; a token-carrying challenge
+encodes as version 3, and a reader refuses a 32-byte challenge payload
+claiming version 2 (or vice versa).
 
 Version 4 adds the *coordinator control plane* of the scale-out tier
 (:mod:`repro.pipeline.service.coordinator`): a ``ControlRequest`` frame
@@ -338,11 +339,11 @@ class SessionChallenge:
     """Service reply to a hello: the server-side handshake nonce.
 
     ``round_token`` is the hosted round's registration token (see
-    :class:`repro.pipeline.service.RoundRegistry`).  Empty for a
-    single-round service — the challenge then encodes as a version-2
-    frame, byte-identical to the pre-multiround wire.  When present
-    (16 bytes, version-3 frame) the producer must fold it into the
-    proof MAC, scoping the session to this exact round incarnation.
+    :class:`repro.pipeline.service.RoundRegistry`): 16 bytes in every
+    challenge a service sends (a version-3 frame), which the producer
+    folds into the proof MAC, scoping the session to this exact round
+    incarnation.  Empty, the challenge encodes as the version-2 frame
+    the committed wire fixtures pin.
     """
 
     m: int
@@ -579,9 +580,9 @@ def dump_hello(hello: SessionHello) -> bytes:
 def dump_challenge(challenge: SessionChallenge) -> bytes:
     """Serialize a session challenge.
 
-    Without a round token the frame is version 2 — byte-identical to
-    the single-round wire.  With one it is version 3, the payload being
-    ``nonce || round_token``.
+    With a round token (every challenge a service sends) the frame is
+    version 3, the payload being ``nonce || round_token``.  Without one
+    it is version 2, byte-identical to the committed wire fixtures.
     """
     payload = _check_nonce(challenge.nonce, "challenge")
     token = bytes(challenge.round_token)

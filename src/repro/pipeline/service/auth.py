@@ -1,13 +1,14 @@
 """HMAC session authentication for the collection service.
 
-The handshake is a three-frame challenge-response over the version-2
-session frames of :mod:`repro.pipeline.collect.wire`:
+The handshake is a three-frame challenge-response over the session
+frames of :mod:`repro.pipeline.collect.wire`:
 
 1. producer → service: :class:`~repro.pipeline.collect.wire.SessionHello`
    with the claimed ``(m, round_id)``, a producer identity, and a fresh
    16-byte client nonce;
 2. service → producer: :class:`~repro.pipeline.collect.wire.
-   SessionChallenge` with a fresh 16-byte server nonce;
+   SessionChallenge` with a fresh 16-byte server nonce and the hosted
+   round's 16-byte registration token (a version-3 frame);
 3. producer → service: :class:`~repro.pipeline.collect.wire.SessionProof`
    carrying ``HMAC-SHA256(key, transcript)`` where the transcript binds
    the protocol label, round geometry, producer identity, and both
@@ -15,11 +16,13 @@ session frames of :mod:`repro.pipeline.collect.wire`:
 
 Because both nonces are inside the MAC, a recorded handshake cannot be
 replayed against a fresh challenge, and a proof minted for one round or
-producer identity cannot be spent on another.  A multi-round service
-additionally folds the hosted round's *registration token* (carried in
-a version-3 challenge) into the transcript, so a proof is scoped to one
-exact incarnation of a round — not merely a ``round_id`` number that a
-later registration might reuse.
+producer identity cannot be spent on another.  The service also folds
+the hosted round's *registration token* (carried in the version-3
+challenge) into the transcript, so a proof is scoped to one exact
+incarnation of a round — not merely a ``round_id`` number that a later
+registration might reuse.  A tokenless transcript (the version-2
+challenge of the committed wire fixtures) still verifies; no service
+sends one.
 
 Keys come from a :class:`KeyRegistry`: per-producer secrets looked up
 by ``producer_id`` during the handshake (one compromised producer can
@@ -186,8 +189,7 @@ class KeyRegistry:
 
     Lookup order: the producer's own entry, else the registry default
     (``None`` when neither exists — the service refuses the session).
-    Holding only a *default* key reproduces the single-shared-key
-    behavior of the single-round service exactly.
+    Holding only a *default* key gives every producer one shared key.
 
     A registry constructed with :meth:`from_file` (or ``path=``)
     re-stats the keyfile on every lookup and reloads it when the mtime
@@ -437,13 +439,14 @@ def session_mac(
 
     The producer id is length-prefixed inside the transcript so no two
     distinct ``(producer_id, nonce)`` pairs can collide into the same
-    MAC input.  *round_token* is the multi-round registration token
-    from a version-3 challenge; it is appended after the fixed-size
-    nonces (no ambiguity — empty or exactly 16 bytes), and an empty
-    token reproduces the single-round transcript bit for bit.  *party*
-    is the serving party's role label (:func:`keeper_party_label` for a
-    share keeper); empty — every non-keeper session — leaves the
-    transcript byte-identical to the pre-split-trust protocol.
+    MAC input.  *round_token* is the round's registration token from
+    the version-3 challenge every service sends; it is appended after
+    the fixed-size nonces (no ambiguity — empty or exactly 16 bytes),
+    and an empty token gives the tokenless transcript the version-2
+    golden fixtures pin.  *party* is the serving party's role label
+    (:func:`keeper_party_label` for a share keeper); empty — every
+    non-keeper session — leaves the transcript byte-identical to the
+    pre-split-trust protocol.
     """
     producer = producer_id.encode("utf-8")
     transcript = b"".join(

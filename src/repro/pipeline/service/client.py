@@ -134,11 +134,11 @@ class ServiceSession:
                 raise AuthenticationError(
                     f"expected a session challenge, got {type(reply).__name__}"
                 )
-            # A version-3 challenge carries the hosted round's
+            # The version-3 challenge carries the hosted round's
             # registration token; binding it scopes this proof to that
-            # exact round incarnation.  An empty token (version-2
-            # challenge, single-round service) leaves the transcript
-            # byte-identical to the original protocol.
+            # exact round incarnation.  A tokenless version-2 challenge
+            # (the committed wire fixtures; no service sends one) MACs
+            # the transcript without it.
             mac = session_mac(
                 self.key,
                 m=self.m,

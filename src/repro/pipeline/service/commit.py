@@ -1,6 +1,6 @@
 """Cross-connection group commit: one fsync pair per *round* batch.
 
-The single-round service amortized fsyncs across one connection's
+Batching per connection amortizes fsyncs across one connection's
 pipelined records.  At many-producer scale that still pays one
 spill-fsync + ledger-fsync pair per connection per batch window — with
 64 producers trickling records, the disk sees 128 fsyncs per window
@@ -29,13 +29,13 @@ drains one submission per commit — the per-connection baseline the
 ``make bench-service`` multi-round scenario measures group commit
 against.
 
-Failure containment mirrors the single-round design: a mid-commit IO
-error rolls the spill and any staged ledger entries back to the
-pre-batch boundary and fails every submission in the batch (their
-connections drop; nothing was acked, so producers resend); if even the
-rollback fails, the scheduler fail-stops the round — further commits
-are refused until an operator restarts with ``resume``, which
-reconciles from the last durable prefix.
+Failure containment is per batch: a mid-commit IO error rolls the
+spill and any staged ledger entries back to the pre-batch boundary and
+fails every submission in the batch (their connections drop; nothing
+was acked, so producers resend); if even the rollback fails, the
+scheduler fail-stops the round — further commits are refused until an
+operator restarts with ``resume``, which reconciles from the last
+durable prefix.
 """
 
 from __future__ import annotations
@@ -198,8 +198,7 @@ class GroupCommitScheduler:
 
         The committer is the only writer of the round's spill and
         ledger, so this coroutine needs no lock; its only failure mode
-        is a real IO error, handled by rollback + fail-stop exactly as
-        the single-round service did.
+        is a real IO error, handled by rollback + fail-stop.
         """
         round_ = self.round
         loop = asyncio.get_running_loop()

@@ -101,10 +101,9 @@ class ServiceLimits:
         ``"round"`` (default) coalesces group commits **across
         connections**: one spill-fsync + ledger-fsync pair covers every
         batch any session of the round has staged while the previous
-        commit was in flight.  ``"connection"`` restores the
-        per-connection batching of the single-round service — each
-        connection's batch pays its own fsync pair (the benchmark
-        baseline, and a debugging aid).
+        commit was in flight.  ``"connection"`` batches per
+        connection instead — each connection's batch pays its own
+        fsync pair (the benchmark baseline, and a debugging aid).
     """
 
     max_frame_bytes: int = 16 * 2**20

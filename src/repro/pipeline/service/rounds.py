@@ -15,8 +15,8 @@ Everything one round owns lives in a :class:`RoundState`:
   *connections* (every session of the round feeds the same scheduler);
 * per-producer and whole-round quota meters that survive reconnects
   (and, via the ledger, restarts);
-* a 16-byte *registration token*, minted when the round is opened and
-  folded into every session proof of a scoped (multi-round) service, so
+* a 16-byte *registration token*, minted when the round is opened (or
+  handed down by a coordinator) and folded into every session proof, so
   a proof for one incarnation of round 7 can never be spent on a later
   re-registration of round 7.
 
@@ -133,7 +133,6 @@ class RoundState:
         limits: ServiceLimits,
         *,
         resume: bool = False,
-        scoped: bool = False,
         token: bytes | None = None,
         mode: str = MODE_COLLECT,
         keeper_id: str | None = None,
@@ -196,11 +195,9 @@ class RoundState:
         # exactly the same records before any decode is attempted.
         self.member_digest = empty_member_digest()
         # The registration token: fresh every time the round is opened,
-        # so session proofs are scoped to this exact incarnation.  An
-        # unscoped (single-round, legacy-wire) round keeps it empty and
-        # its challenges stay version-2 byte-identical.  A coordinator
-        # passes *token* explicitly so every shard hosting a slice of
-        # the round challenges with the SAME incarnation token.
+        # so session proofs are scoped to this exact incarnation.  A
+        # coordinator passes *token* explicitly so every shard hosting a
+        # slice of the round challenges with the SAME incarnation token.
         if token is not None:
             token = bytes(token)
             if len(token) != 16:
@@ -209,7 +206,7 @@ class RoundState:
                 )
             self.token = token
         else:
-            self.token = fresh_nonce() if scoped else b""
+            self.token = fresh_nonce()
         self.lifecycle = RoundLifecycle(self.round_id)
 
         self.records_merged = 0
@@ -707,8 +704,8 @@ class RoundState:
     def release(self) -> None:
         """Constructor-failure teardown: drop handles, undo creation.
 
-        When a multi-round service fails partway through opening its
-        rounds (a later spec is bad, a round id is duplicated), the
+        When a service fails partway through opening its rounds (a
+        round id is duplicated, a later round's files refuse), the
         rounds already opened must not leak file handles — and, if they
         did not exist before this attempt, must not leave freshly
         created state behind that would force ``resume=True`` on the
@@ -730,7 +727,7 @@ class RoundState:
             try:
                 os.rmdir(self.store.root)
             except OSError:
-                pass  # shared or non-empty root (single-round layout)
+                pass  # the operator left other files in the namespace
         self._closed = True
 
     async def close(self, *, snapshot: bool = True) -> None:
@@ -809,7 +806,6 @@ class RoundRegistry:
         limits: ServiceLimits,
         *,
         resume: bool = False,
-        scoped: bool = True,
         token: bytes | None = None,
         serve: bool = True,
         mode: str = MODE_COLLECT,
@@ -835,7 +831,6 @@ class RoundRegistry:
             store,
             limits,
             resume=resume,
-            scoped=scoped,
             token=token,
             mode=mode,
             keeper_id=keeper_id,

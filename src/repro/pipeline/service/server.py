@@ -13,9 +13,9 @@ guarantees:
 * **multiplexed**: the HELLO's ``round_id`` routes the session through
   the :class:`~.rounds.RoundRegistry` to one hosted round; every check,
   spill, ledger entry, and merge after that point happens against that
-  round's own state, and a scoped round's registration token is bound
-  into the session proof (version-3 challenge) so the session cannot
-  even in principle be confused with another incarnation of the round;
+  round's own state, and the round's registration token is bound into
+  the session proof (version-3 challenge) so the session cannot even
+  in principle be confused with another incarnation of the round;
 * **exactly-once**: every merged record is committed to the round's
   :class:`~.ledger.IdempotencyLedger` (spill fsync → ledger fsync →
   merge → ack), so a blind resend after a lost ack is acknowledged as a
@@ -32,12 +32,12 @@ guarantees:
   truncates each spill back to its ledger's committed offset, and
   keeps serving the same rounds.
 
-The commit order per record is unchanged from the single-round design
-(spill append → spill fsync → ledger append → ledger fsync → merge →
-ack), but batching moved from the connection to the round: all active
-sessions of a round feed one :class:`~.commit.GroupCommitScheduler`,
+The commit order per record is spill append → spill fsync → ledger
+append → ledger fsync → merge → ack, and batching is per round: all
+active sessions of a round feed one :class:`~.commit.GroupCommitScheduler`,
 and one fsync pair covers everything any of them staged while the
-previous commit was in flight — see :mod:`.commit`.
+previous commit was in flight — see :mod:`.commit`.  Every round, a
+lone one included, keeps its files under ``<store_root>/round_<id>/``.
 
 Since the scale-out refactor this class is the *round ownership* layer:
 it opens, recovers, drains, closes, and retires rounds, resolves each
@@ -70,6 +70,7 @@ from .auth import (
 )
 from .quotas import ServiceLimits
 from .rounds import (
+    EXCLUSIONS_FILENAME,
     LEDGER_FILENAME,
     MODE_COLLECT,
     MODE_KEEPER,
@@ -147,29 +148,56 @@ def _coerce_round_spec(spec) -> tuple[int, int, dict]:
         ) from exc
 
 
+def _refuse_flat_layout(store: ShardStore, round_ids: list[int]) -> None:
+    """Refuse a store root that holds a round in the old flat layout.
+
+    Every hosted round lives in ``<store_root>/round_<id>/``; a round
+    written before that kept its ledger and spill directly under the
+    root.  Serving over such a root would start the configured round
+    empty beside those files and merge resends of ledgered records a
+    second time, so it is refused, naming where the files belong.
+    """
+    flat = [
+        os.path.basename(path)
+        for path in (
+            os.path.join(store.root, LEDGER_FILENAME),
+            store.chunk_path(SERVICE_SHARD_ID),
+        )
+        if os.path.exists(path)
+    ]
+    if not flat:
+        return
+    target = (
+        round_namespace(round_ids[0]) if len(round_ids) == 1 else "round_<id>"
+    )
+    raise ValidationError(
+        f"{store.root} holds a round in the old flat layout "
+        f"({', '.join(flat)} directly under the store root); every round "
+        "now lives in its own round_<id>/ directory (round_00007/ for "
+        f"round 7).  Move the round's files ({LEDGER_FILENAME}, "
+        f"{EXCLUSIONS_FILENAME} if present, shard_00000.*) into "
+        f"{os.path.join(store.root, target)}/ and restart with resume"
+    )
+
+
 class CollectionService:
-    """Durable, authenticated, exactly-once collection — single- or
-    multi-round, standalone or as one shard of a scale-out deployment.
+    """Durable, authenticated, exactly-once collection of one or many
+    rounds, standalone or as one shard of a scale-out deployment.
 
     Parameters
     ----------
-    m:
-        Single-round mode: the round's report width.  The round is
-        ``round_id`` (default 0), its files live directly under
-        *store_root* (the layout of the original single-round service,
-        so existing round directories resume unchanged), and its
-        challenges stay version-2 wire frames.
     rounds:
-        Multi-round mode (mutually exclusive with *m*): an iterable of
-        ``{"m": ..., "round_id": ...}`` dicts or ``(m, round_id)``
-        pairs.  Each round lives in its own store namespace
+        The hosted rounds: an iterable of ``{"m": ..., "round_id": ...}``
+        dicts or ``(m, round_id)`` pairs (one element for a lone round).
+        Each round lives in its own store namespace
         (``<store_root>/round_<id>/``) with its own spill, ledger, and
         commit pipeline, and its sessions are bound to the round's
-        registration token (version-3 challenges).  A dict spec may
-        additionally carry ``"limits"`` — per-round
+        16-byte registration token (version-3 challenges).  A dict spec
+        may additionally carry ``"limits"`` — per-round
         :class:`~.quotas.ServiceLimits` overrides layered over the
         service defaults — and ``"token"`` (hex), the coordinator's
-        registration token for the round.
+        registration token for the round.  Only a service with a
+        *control_key* may start with no rounds (a bare shard).
     key:
         Default producer secret (bytes, hex string, or passphrase —
         see :func:`~.auth.derive_round_key`): any producer without an
@@ -202,13 +230,11 @@ class CollectionService:
 
     def __init__(
         self,
-        m: int | None = None,
         *,
+        rounds,
         key=None,
         keys=None,
         store_root: str,
-        round_id: int = 0,
-        rounds=None,
         limits: ServiceLimits | None = None,
         resume: bool = False,
         control_key=None,
@@ -217,11 +243,6 @@ class CollectionService:
         mode: str = MODE_COLLECT,
         keeper_id: str | None = None,
     ) -> None:
-        if (m is None) == (rounds is None):
-            raise ValidationError(
-                "pass exactly one of m= (single-round) or rounds= "
-                "(multi-round)"
-            )
         if key is None and keys is None:
             raise ValidationError(
                 "the service needs key= (shared default) and/or keys= "
@@ -273,35 +294,19 @@ class CollectionService:
                 f"mode={MODE_KEEPER!r} services; a {mode!r} service has no "
                 "keeper identity (did you mean mode=\"keeper\"?)"
             )
+        specs = [_coerce_round_spec(spec) for spec in rounds]
+        if not specs and control_key is None:
+            # A control-plane shard may legitimately start bare and
+            # have its rounds registered remotely (open-round); a
+            # plain service with no rounds is an operator mistake.
+            raise ValidationError("rounds= must name at least one round")
         self.store = ShardStore(store_root)
+        _refuse_flat_layout(self.store, [rid for _, rid, _ in specs])
         self.registry = RoundRegistry()
         self._closed = False
         try:
-            if m is not None:
-                # Legacy flat layout: the lone round owns store_root.
-                self.registry.open_round(
-                    int(m),
-                    int(round_id),
-                    self.store,
-                    self.limits,
-                    resume=resume,
-                    scoped=False,
-                    mode=self.default_mode,
-                    keeper_id=(
-                        self.keeper_id
-                        if self.default_mode == MODE_KEEPER
-                        else None
-                    ),
-                )
-            else:
-                for spec in rounds:
-                    m_, rid, extras = _coerce_round_spec(spec)
-                    self.add_round(m_, rid, resume=resume, **extras)
-            if not len(self.registry) and control_key is None:
-                # A control-plane shard may legitimately start bare and
-                # have its rounds registered remotely (open-round); a
-                # plain service with no rounds is an operator mistake.
-                raise ValidationError("rounds= must name at least one round")
+            for m, rid, extras in specs:
+                self.add_round(m, rid, resume=resume, **extras)
         except BaseException:
             # A half-configured service must not leak the rounds it
             # already opened: drop their handles and (for rounds that
@@ -383,7 +388,6 @@ class CollectionService:
             self.store.namespaced(round_namespace(round_id)),
             round_limits,
             resume=resume,
-            scoped=True,
             token=token,
             mode=mode,
             keeper_id=self.keeper_id if mode == MODE_KEEPER else None,
@@ -398,37 +402,6 @@ class CollectionService:
                 f"{self.registry.round_ids()}"
             )
         return state
-
-    def _single_round(self) -> RoundState:
-        rounds = self.registry.rounds()
-        if len(rounds) != 1:
-            raise ValidationError(
-                f"service hosts {len(rounds)} rounds; use "
-                ".round(round_id) to address one"
-            )
-        return rounds[0]
-
-    # Single-round conveniences (and the original service's public
-    # surface): each delegates to the lone hosted round.
-    @property
-    def m(self) -> int:
-        return self._single_round().m
-
-    @property
-    def round_id(self) -> int:
-        return self._single_round().round_id
-
-    @property
-    def accumulator(self):
-        return self._single_round().accumulator
-
-    @property
-    def ledger(self):
-        return self._single_round().ledger
-
-    @property
-    def _writer(self):
-        return self._single_round().writer
 
     # Aggregate record counters across every hosted round.
     @property
@@ -608,9 +581,6 @@ class CollectionService:
             stats["shard"] = self.shard_name
         if self.sessions.table is not None:
             stats["routing_epoch"] = self.sessions.table.epoch
-        if len(rounds) == 1:
-            stats["m"] = rounds[0].m
-            stats["round_id"] = rounds[0].round_id
         return stats
 
     # ------------------------------------------------------------------

@@ -59,7 +59,7 @@ def _frames_for(producer_id: str) -> list[bytes]:
 
 async def _single_process_digest(tmp_path) -> str:
     service = CollectionService(
-        M, key=SECRET, store_root=str(tmp_path / "reference"), round_id=ROUND
+        rounds=[(M, ROUND)], key=SECRET, store_root=str(tmp_path / "reference")
     )
     host, port = await service.serve()
     try:
@@ -73,7 +73,7 @@ async def _single_process_digest(tmp_path) -> str:
                 m=M,
                 round_id=ROUND,
             )
-        return service.accumulator.digest()
+        return service.round(ROUND).accumulator.digest()
     finally:
         await service.close()
 

@@ -83,7 +83,7 @@ def _ingest_until_fault(injector, root, producer_frames):
     """
 
     async def main():
-        service = CollectionService(M, key=KEY, store_root=root)
+        service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
         host, port = await service.serve()
         try:
             for index, frames in enumerate(producer_frames):
@@ -106,7 +106,7 @@ def _resume_and_resend(root, producer_frames, *, key=KEY, m=M, round_id=0):
 
     async def main():
         service = CollectionService(
-            m, key=key, store_root=root, round_id=round_id, resume=True
+            rounds=[(m, round_id)], key=key, store_root=root, resume=True
         )
         host, port = await service.serve()
         statuses = []
@@ -164,7 +164,7 @@ class TestSingleRoundRecovery:
         assert statuses.count(wire.ACK_REFUSED) == 0
         assert len(statuses) == total
         assert service.records_merged == total  # incl. pre-crash commits
-        _assert_bit_identical(service.accumulator, mechanism, reference)
+        _assert_bit_identical(service.round(0).accumulator, mechanism, reference)
 
     def test_nonfatal_fsync_error_rolls_back_then_recovers(
         self, fault_injector, workload, tmp_path
@@ -177,7 +177,7 @@ class TestSingleRoundRecovery:
         fault_injector.io_error_on_fsync(".chunks", nth=1)
 
         async def main():
-            service = CollectionService(M, key=KEY, store_root=root)
+            service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
             host, port = await service.serve()
             statuses = []
             try:
@@ -204,13 +204,18 @@ class TestSingleRoundRecovery:
         assert fault_injector.fired
         assert not fault_injector.crashed
         assert statuses.count(wire.ACK_REFUSED) == 0
-        _assert_bit_identical(service.accumulator, mechanism, reference)
+        _assert_bit_identical(service.round(0).accumulator, mechanism, reference)
 
         # And the durable state restarts clean.
         fault_injector.disarm()
-        resumed = CollectionService(M, key=KEY, store_root=root, resume=True)
+        resumed = CollectionService(
+            rounds=[(M, 0)],
+            key=KEY,
+            store_root=root,
+            resume=True,
+        )
         asyncio.run(resumed.abort())
-        _assert_bit_identical(resumed.accumulator, mechanism, reference)
+        _assert_bit_identical(resumed.round(0).accumulator, mechanism, reference)
 
     def test_mid_frame_disconnect_then_resend(
         self, fault_injector, workload, tmp_path
@@ -221,7 +226,7 @@ class TestSingleRoundRecovery:
         root = str(tmp_path / "round")
 
         async def main():
-            service = CollectionService(M, key=KEY, store_root=root)
+            service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
             host, port = await service.serve()
             try:
                 await fault_harness.disconnect_mid_frame(
@@ -249,7 +254,7 @@ class TestSingleRoundRecovery:
         )
         assert statuses.count(wire.ACK_REFUSED) == 0
         assert statuses.count(wire.ACK_DUPLICATE) == 0  # nothing staged twice
-        _assert_bit_identical(service.accumulator, mechanism, reference)
+        _assert_bit_identical(service.round(0).accumulator, mechanism, reference)
 
     def test_torn_ledger_tail_between_runs(
         self, fault_injector, workload, tmp_path
@@ -260,14 +265,14 @@ class TestSingleRoundRecovery:
         mechanism, producer_frames, reference = workload
         root = str(tmp_path / "round")
         service = _ingest_until_fault(fault_injector, root, producer_frames)
-        ledger_path = service.ledger.path
+        ledger_path = service.round(0).ledger.path
 
         fault_harness.tear_tail(ledger_path, 11)  # mid-entry, torn CRC
         service, statuses = _resume_and_resend(root, producer_frames)
         assert statuses.count(wire.ACK_REFUSED) == 0
         # Exactly one record lost its ledger entry and was re-merged.
         assert statuses.count(wire.ACK_MERGED) == 1
-        _assert_bit_identical(service.accumulator, mechanism, reference)
+        _assert_bit_identical(service.round(0).accumulator, mechanism, reference)
 
     def test_short_read_of_ledger_at_recovery(
         self, fault_injector, workload, tmp_path
@@ -283,7 +288,7 @@ class TestSingleRoundRecovery:
         service, statuses = _resume_and_resend(root, producer_frames)
         assert any("short read" in what for what in fault_injector.fired)
         assert statuses.count(wire.ACK_REFUSED) == 0
-        _assert_bit_identical(service.accumulator, mechanism, reference)
+        _assert_bit_identical(service.round(0).accumulator, mechanism, reference)
 
 
 class TestMultiRoundRecovery:

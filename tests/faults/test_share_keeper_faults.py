@@ -89,11 +89,11 @@ def _service_specs(tmp_path):
 
 
 async def _serve_all(collector_spec, keeper_specs, *, resume=False):
-    collector = CollectionService(M, resume=resume, **collector_spec)
+    collector = CollectionService(rounds=[(M, 0)], resume=resume, **collector_spec)
     collector_address = await collector.serve()
     keepers, addresses = {}, {}
     for keeper_id, spec in keeper_specs.items():
-        keeper = CollectionService(M, resume=resume, **spec)
+        keeper = CollectionService(rounds=[(M, 0)], resume=resume, **spec)
         keepers[keeper_id] = keeper
         addresses[keeper_id] = await keeper.serve()
     return collector, collector_address, keepers, addresses
@@ -168,8 +168,8 @@ def _resume_and_resend(tmp_path, producer_chunks):
                 for acks in result["keepers"].values():
                     statuses.extend(ack.status for ack in acks)
             combined = combine_accumulators(
-                collector.accumulator,
-                [keeper.accumulator for keeper in keepers.values()],
+                collector.round(0).accumulator,
+                [keeper.round(0).accumulator for keeper in keepers.values()],
             )
         finally:
             for service in (collector, *keepers.values()):
@@ -229,7 +229,7 @@ class TestKeeperCrashRecovery:
             await _ship_all(
                 collector_address, addresses, producer_chunks[:1]
             )
-            path = keepers["keeper-a"].ledger.path
+            path = keepers["keeper-a"].round(0).ledger.path
             for service in (collector, *keepers.values()):
                 await service.abort()
             return path
@@ -259,9 +259,9 @@ class TestPermanentlyLostKeeper:
                 await _ship_all(
                     collector_address, addresses, producer_chunks
                 )
-                survivors = [keepers["keeper-a"].accumulator]
+                survivors = [keepers["keeper-a"].round(0).accumulator]
                 with pytest.raises(EstimationError, match="refusing"):
-                    combine_accumulators(collector.accumulator, survivors)
+                    combine_accumulators(collector.round(0).accumulator, survivors)
             finally:
                 for service in (collector, *keepers.values()):
                     await service.close()
@@ -295,8 +295,8 @@ class TestPermanentlyLostKeeper:
                 )
                 with pytest.raises(Exception, match="refusing to decode"):
                     combine_accumulators(
-                        collector.accumulator,
-                        [k.accumulator for k in keepers.values()],
+                        collector.round(0).accumulator,
+                        [k.round(0).accumulator for k in keepers.values()],
                     )
             finally:
                 for service in (collector, *keepers.values()):

@@ -85,7 +85,7 @@ async def _serve_and_send(root, producers):
 
     Returns the per-producer acks and the (closed) service.
     """
-    service = CollectionService(M, key=KEY, store_root=root)
+    service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
     host, port = await service.serve()
     try:
         acks = await asyncio.gather(
@@ -142,9 +142,9 @@ class TestSocketIngestPath:
         )
         statuses = [ack.status for shard_acks in acks for ack in shard_acks]
         assert statuses == [wire.ACK_MERGED] * sum(map(len, shard_frames))
-        assert service.accumulator.digest() == reference.digest()
+        assert service.round(0).accumulator.digest() == reference.digest()
         assert np.array_equal(
-            service.accumulator.estimate(mechanism),
+            service.round(0).accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )
 
@@ -179,8 +179,8 @@ class TestSnapshotRelayPath:
             )
         )
         assert [ack.status for (ack,) in acks] == [wire.ACK_MERGED] * SHARDS
-        assert service.accumulator.digest() == reference.digest()
+        assert service.round(0).accumulator.digest() == reference.digest()
         assert np.array_equal(
-            service.accumulator.estimate(mechanism),
+            service.round(0).accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )

@@ -92,7 +92,7 @@ def test_kill_and_resend_is_bit_identical(workload, tmp_path):
 
     async def first_run():
         """Partial round: every producer gets only some records acked."""
-        service = CollectionService(M, key=KEY, store_root=root)
+        service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
         host, port = await service.serve()
         try:
             for index, frames in enumerate(producer_frames):
@@ -117,12 +117,17 @@ def test_kill_and_resend_is_bit_identical(workload, tmp_path):
     # Emulate the torn frame a kill leaves behind: half of an in-flight
     # record appended to the spill after the last fsync'd commit.
     torn = producer_frames[0][-1]
-    with open(service.store.chunk_path(SERVICE_SHARD_ID), "ab") as handle:
+    with open(service.round(0).store.chunk_path(SERVICE_SHARD_ID), "ab") as handle:
         handle.write(torn[: len(torn) // 2])
 
     async def resumed_run():
         """Restart, then every producer blindly resends EVERYTHING."""
-        service = CollectionService(M, key=KEY, store_root=root, resume=True)
+        service = CollectionService(
+            rounds=[(M, 0)],
+            key=KEY,
+            store_root=root,
+            resume=True,
+        )
         assert service.recovered_records == acked_before
         assert service.recovered_spill_bytes_discarded == len(torn) // 2
         host, port = await service.serve()
@@ -159,19 +164,19 @@ def test_kill_and_resend_is_bit_identical(workload, tmp_path):
     assert "intruder" not in service.producers_seen
 
     # The acceptance bar: bit-identical to the in-memory single pass.
-    assert service.accumulator.digest() == reference.digest()
+    assert service.round(0).accumulator.digest() == reference.digest()
     assert np.array_equal(
-        service.accumulator.estimate(mechanism),
+        service.round(0).accumulator.estimate(mechanism),
         reference.estimate(mechanism),
     )
 
     # The closed round is durable and self-consistent: snapshot matches
     # an out-of-core replay of the committed spill, and a third start
     # reconstructs the same state from disk alone.
-    audit = service.store.audit()
+    audit = service.round(0).store.audit()
     assert audit[SERVICE_SHARD_ID]["match"] is True
-    third = CollectionService(M, key=KEY, store_root=root, resume=True)
-    assert third.accumulator.digest() == reference.digest()
+    third = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root, resume=True)
+    assert third.round(0).accumulator.digest() == reference.digest()
     assert third.recovered_records == total
 
 
@@ -182,7 +187,7 @@ def test_resume_with_concurrent_producers(workload, tmp_path):
     root = str(tmp_path / "round")
 
     async def scenario():
-        service = CollectionService(M, key=KEY, store_root=root)
+        service = CollectionService(rounds=[(M, 0)], key=KEY, store_root=root)
         host, port = await service.serve()
 
         async def producer(index: int, frames):
@@ -212,8 +217,8 @@ def test_resume_with_concurrent_producers(workload, tmp_path):
     service, results = asyncio.run(scenario())
     for statuses in results:
         assert statuses == [wire.ACK_DUPLICATE] * len(statuses)
-    assert service.accumulator.digest() == reference.digest()
+    assert service.round(0).accumulator.digest() == reference.digest()
     assert np.array_equal(
-        service.accumulator.estimate(mechanism),
+        service.round(0).accumulator.estimate(mechanism),
         reference.estimate(mechanism),
     )

@@ -88,7 +88,6 @@ class TestRouterNeverCrossMerges:
                     round_id,
                     store.namespaced(f"round_{index}"),
                     limits,
-                    scoped=True,
                 )
                 for index, (m, round_id) in enumerate(rounds)
             ]
@@ -156,7 +155,6 @@ class TestRouterNeverCrossMerges:
                     round_id,
                     store.namespaced(f"round_{index}"),
                     ServiceLimits(),
-                    scoped=True,
                 )
                 for index, (m, round_id) in enumerate(rounds)
             ]

@@ -44,7 +44,7 @@ def _chunk_frame(k=4, seed=0, m=M, round_id=0) -> bytes:
 def _run(scenario, tmp_path, **service_kwargs):
     async def main():
         service = CollectionService(
-            M,
+            rounds=[(M, 0)],
             key=KEY,
             store_root=str(tmp_path / "round"),
             control_key=CONTROL_KEY,
@@ -173,9 +173,9 @@ class TestControlVerbs:
                 body={"round_id": 0},
             )
             pulled = wire.loads(attachment)
-            assert isinstance(pulled, type(service.accumulator))
+            assert isinstance(pulled, type(service.round(0).accumulator))
             assert pulled.digest() == body["digest"]
-            assert pulled.digest() == service.accumulator.digest()
+            assert pulled.digest() == service.round(0).accumulator.digest()
             assert body["records_merged"] == 1
 
         _run(scenario, tmp_path)
@@ -227,18 +227,16 @@ class TestRoutedTableRefresh:
 
     def _services(self, tmp_path):
         alpha = CollectionService(
-            M,
+            rounds=[(M, 1)],
             key=KEY,
             store_root=str(tmp_path / "alpha"),
-            round_id=1,
             control_key=CONTROL_KEY,
             shard_name="alpha",
         )
         beta = CollectionService(
-            M,
+            rounds=[(M, 1)],
             key=KEY,
             store_root=str(tmp_path / "beta"),
-            round_id=1,
             control_key=CONTROL_KEY,
             shard_name="beta",
         )
@@ -367,7 +365,7 @@ class TestControlRefusals:
     def test_service_without_control_plane_refuses(self, tmp_path):
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "plain")
+                rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "plain")
             )
             host, port = await service.serve()
             try:

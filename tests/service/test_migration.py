@@ -44,14 +44,14 @@ def _run_pair(scenario, tmp_path):
 
     async def main():
         alpha = CollectionService(
-            M,
+            rounds=[(M, 0)],
             key=KEY,
             store_root=str(tmp_path / "alpha"),
             control_key=CONTROL_KEY,
             shard_name="alpha",
         )
         beta = CollectionService(
-            M,
+            rounds=[(M, 0)],
             key=KEY,
             store_root=str(tmp_path / "beta"),
             control_key=CONTROL_KEY,

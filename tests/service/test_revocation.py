@@ -122,7 +122,7 @@ class TestHotReload:
 def _run(scenario, tmp_path, registry):
     async def main():
         service = CollectionService(
-            M, keys=registry, store_root=str(tmp_path / "round")
+            rounds=[(M, 0)], keys=registry, store_root=str(tmp_path / "round")
         )
         host, port = await service.serve()
         try:
@@ -192,7 +192,7 @@ class TestServiceRefusals:
                 )
 
         service, _ = _run(scenario, tmp_path, registry)
-        assert service.accumulator.n == 0
+        assert service.round(0).accumulator.n == 0
         assert service.stats()["sessions_reaped_revoked"] == 0
 
 
@@ -216,7 +216,7 @@ class TestSessionReaping:
             await session.close()
 
         service, _ = _run(scenario, tmp_path, registry)
-        assert service.accumulator.n == 3  # the pre-revocation record
+        assert service.round(0).accumulator.n == 3  # the pre-revocation record
         assert service.stats()["sessions_reaped_revoked"] == 1
 
     def test_idle_revoked_session_is_reaped_by_the_poll(self, tmp_path):

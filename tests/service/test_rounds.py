@@ -92,7 +92,7 @@ class TestSpillReads:
         root = str(tmp_path / "svc")
 
         async def ingest():
-            service = CollectionService(8, key=KEY, store_root=root)
+            service = CollectionService(rounds=[(8, 0)], key=KEY, store_root=root)
             host, port = await service.serve()
             try:
                 # Interleave the producers so the mover's records are
@@ -105,10 +105,15 @@ class TestSpillReads:
                         )
             finally:
                 await service.close()
-            return service.accumulator.digest()
+            return service.round(0).accumulator.digest()
 
         async def resume_and_move():
-            service = CollectionService(8, key=KEY, store_root=root, resume=True)
+            service = CollectionService(
+                rounds=[(8, 0)],
+                key=KEY,
+                store_root=root,
+                resume=True,
+            )
             try:
                 state = service.registry.get(0)
                 spill = state.store.chunk_path(SERVICE_SHARD_ID)

@@ -10,6 +10,8 @@ session capacity shedding), and resumability (covered in depth by
 from __future__ import annotations
 
 import asyncio
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.pipeline import (
     send_records,
 )
 from repro.pipeline.collect import wire
+from repro.pipeline.collect.framing import read_frame_bytes
 
 M = 16
 KEY = "0011223344556677"
@@ -46,7 +49,7 @@ def _run(scenario, tmp_path, *, limits=None, **service_kwargs):
 
     async def main():
         service = CollectionService(
-            M,
+            rounds=[(M, 0)],
             key=KEY,
             store_root=str(tmp_path / "round"),
             limits=limits,
@@ -76,7 +79,7 @@ class TestAuthentication:
                 )
 
         service, _ = _run(scenario, tmp_path)
-        assert service.accumulator.n == 0
+        assert service.round(0).accumulator.n == 0
         assert service.records_merged == 0
         assert service.sessions_rejected == 1
         assert "evil" not in service.producers_seen
@@ -95,7 +98,7 @@ class TestAuthentication:
                 )
 
         service, _ = _run(scenario, tmp_path)
-        assert service.accumulator.n == 0 and service.sessions_rejected == 1
+        assert service.round(0).accumulator.n == 0 and service.sessions_rejected == 1
 
     def test_right_key_merges(self, tmp_path):
         async def scenario(service, host, port):
@@ -110,12 +113,12 @@ class TestAuthentication:
 
         service, acks = _run(scenario, tmp_path)
         assert [a.status for a in acks] == [wire.ACK_MERGED] * 2
-        assert service.accumulator.n == 9  # 5 chunk rows + 4 snapshot users
+        assert service.round(0).accumulator.n == 9  # 5 chunk rows + 4 snapshot users
         assert service.producers_seen == {"edge-1"}
 
     def test_bad_key_type_fails_at_construction(self, tmp_path):
         with pytest.raises(ValidationError, match="at least"):
-            CollectionService(M, key="ab", store_root=str(tmp_path / "r"))
+            CollectionService(rounds=[(M, 0)], key="ab", store_root=str(tmp_path / "r"))
 
 
 class TestExactlyOnce:
@@ -126,7 +129,7 @@ class TestExactlyOnce:
             first = await send_records(
                 host, port, frames, key=KEY, producer_id="p", m=M
             )
-            digest = service.accumulator.digest()
+            digest = service.round(0).accumulator.digest()
             again = await send_records(
                 host, port, frames, key=KEY, producer_id="p", m=M
             )
@@ -135,7 +138,7 @@ class TestExactlyOnce:
         service, (first, again, digest) = _run(scenario, tmp_path)
         assert [a.status for a in first] == [wire.ACK_MERGED] * 3
         assert [a.status for a in again] == [wire.ACK_DUPLICATE] * 3
-        assert service.accumulator.digest() == digest
+        assert service.round(0).accumulator.digest() == digest
         assert service.records_merged == 3
         assert service.records_duplicate == 3
 
@@ -160,7 +163,7 @@ class TestExactlyOnce:
                 host, port, [_chunk_frame(seed=1)], key=KEY,
                 producer_id="p", m=M,
             )
-            digest = service.accumulator.digest()
+            digest = service.round(0).accumulator.digest()
             async with ServiceSession(
                 host, port, key=KEY, producer_id="p", m=M
             ) as session:
@@ -170,7 +173,7 @@ class TestExactlyOnce:
         service, (digest, ack) = _run(scenario, tmp_path)
         assert ack.status == wire.ACK_REFUSED
         assert "equivocation" in ack.detail
-        assert service.accumulator.digest() == digest
+        assert service.round(0).accumulator.digest() == digest
         assert service.records_refused == 1
 
     def test_concurrent_duplicate_sends_commit_once(self, tmp_path):
@@ -191,7 +194,7 @@ class TestExactlyOnce:
         assert statuses.count(wire.ACK_MERGED) == 1
         assert statuses.count(wire.ACK_DUPLICATE) == 3
         assert service.records_merged == 1
-        assert service.accumulator.n == 5
+        assert service.round(0).accumulator.n == 5
 
 
 class TestValidation:
@@ -257,7 +260,7 @@ class TestQuotasAndBackpressure:
         service, ack = _run(scenario, tmp_path, limits=limits)
         assert ack.status == wire.ACK_REFUSED
         assert "caps frames" in ack.detail
-        assert service.accumulator.n == 0
+        assert service.round(0).accumulator.n == 0
 
     def test_connection_frame_quota_sheds_but_keeps_acked(self, tmp_path):
         # Handshake costs 2 producer frames; allow 2 records after that.
@@ -356,12 +359,16 @@ class TestLifecycle:
 
         _run(scenario, tmp_path)
         with pytest.raises(ValidationError, match="resume"):
-            CollectionService(M, key=KEY, store_root=str(tmp_path / "round"))
+            CollectionService(
+                rounds=[(M, 0)],
+                key=KEY,
+                store_root=str(tmp_path / "round"),
+            )
 
     def test_close_cancels_stalled_session(self, tmp_path):
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round")
+                rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round")
             )
             host, port = await service.serve()
             session = ServiceSession(host, port, key=KEY, producer_id="p", m=M)
@@ -385,7 +392,87 @@ class TestLifecycle:
         stats = service.stats()
         assert stats["records_merged"] == 1
         assert stats["producers"] == ["p"]
-        assert stats["n"] == service.accumulator.n
+        assert stats["n"] == service.round(0).accumulator.n
+
+
+def _flat_round(tmp_path):
+    """A store root holding one committed record in the flat layout:
+    ledger and spill directly under the root, where a lone round kept
+    them before every round moved into ``round_<id>/``."""
+
+    async def scenario(service, host, port):
+        await send_records(
+            host, port, [_chunk_frame()], key=KEY, producer_id="p", m=M
+        )
+
+    _run(scenario, tmp_path)
+    root = tmp_path / "round"
+    for path in list((root / "round_00000").iterdir()):
+        path.rename(root / path.name)
+    (root / "round_00000").rmdir()
+    return root
+
+
+class TestRoundLayout:
+    def test_challenge_is_version_3_with_the_round_token(self, tmp_path):
+        async def scenario(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(
+                    wire.dump_hello(
+                        wire.SessionHello(
+                            m=M, round_id=0, producer_id="p", nonce=bytes(16)
+                        )
+                    )
+                )
+                await writer.drain()
+                return await read_frame_bytes(reader, max_frame_bytes=4096)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        service, frame = _run(scenario, tmp_path)
+        (version,) = struct.unpack_from("<H", frame, 4)
+        assert version == wire.WIRE_VERSION_MULTIROUND
+        challenge = wire.loads(frame)
+        assert isinstance(challenge, wire.SessionChallenge)
+        assert challenge.round_token == service.round(0).token
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize(
+        "rounds, target",
+        [([(M, 0)], "round_00000"), ([(M, 0), (M, 1)], "round_<id>")],
+    )
+    def test_flat_root_refused_naming_the_round_directory(
+        self, tmp_path, resume, rounds, target
+    ):
+        root = _flat_round(tmp_path)
+        before = sorted(os.listdir(root))
+        with pytest.raises(ValidationError, match="flat") as refused:
+            CollectionService(
+                rounds=rounds, key=KEY, store_root=str(root), resume=resume
+            )
+        assert os.path.join(str(root), target) + "/" in str(refused.value)
+        assert sorted(os.listdir(root)) == before  # nothing opened beside
+
+    def test_flat_round_resumes_once_moved_where_the_refusal_says(
+        self, tmp_path
+    ):
+        root = _flat_round(tmp_path)
+        (root / "round_00000").mkdir()
+        for path in list(root.iterdir()):
+            if path.is_file():
+                path.rename(root / "round_00000" / path.name)
+
+        async def scenario(service, host, port):
+            return await send_records(
+                host, port, [_chunk_frame()], key=KEY, producer_id="p", m=M
+            )
+
+        service, acks = _run(scenario, tmp_path, resume=True)
+        assert service.recovered_records == 1
+        assert [a.status for a in acks] == [wire.ACK_DUPLICATE]
+        assert service.round(0).accumulator.n == 5
 
 
 class TestTimeouts:
@@ -400,7 +487,10 @@ class TestTimeouts:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round"), limits=limits
+                rounds=[(M, 0)],
+                key=KEY,
+                store_root=str(tmp_path / "round"),
+                limits=limits,
             )
             host, port = await service.serve()
             try:
@@ -435,7 +525,10 @@ class TestTimeouts:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round"), limits=limits
+                rounds=[(M, 0)],
+                key=KEY,
+                store_root=str(tmp_path / "round"),
+                limits=limits,
             )
             host, port = await service.serve()
             try:
@@ -469,11 +562,11 @@ class TestCommitFailureRepair:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round")
+                rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round")
             )
             host, port = await service.serve()
-            real_sync = service._writer.sync
-            service._writer.sync = lambda: (_ for _ in ()).throw(
+            real_sync = service.round(0).writer.sync
+            service.round(0).writer.sync = lambda: (_ for _ in ()).throw(
                 OSError("simulated ENOSPC")
             )
             try:
@@ -488,11 +581,11 @@ class TestCommitFailureRepair:
                     )
                 # The failed batch rolled back: spill boundary equals the
                 # ledger's committed offset, nothing merged.
-                assert service._writer.end_offset == 0
-                assert service.ledger.committed_offset == 0
-                assert service.accumulator.n == 0
+                assert service.round(0).writer.end_offset == 0
+                assert service.round(0).ledger.committed_offset == 0
+                assert service.round(0).accumulator.n == 0
                 # Disk "recovers"; the producer's blind resend merges once.
-                service._writer.sync = real_sync
+                service.round(0).writer.sync = real_sync
                 acks = await send_records(
                     host,
                     port,
@@ -511,7 +604,7 @@ class TestCommitFailureRepair:
         # The closed round restarts cleanly — the invariant the rollback
         # exists to protect.
         resumed = CollectionService(
-            M, key=KEY, store_root=str(tmp_path / "round"), resume=True
+            rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round"), resume=True
         )
         assert resumed.recovered_records == 1
 
@@ -522,10 +615,10 @@ class TestCommitFailureRepair:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round")
+                rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round")
             )
             host, port = await service.serve()
-            real_sync = service._writer.sync
+            real_sync = service.round(0).writer.sync
 
             def slow_sync():
                 import time
@@ -533,7 +626,7 @@ class TestCommitFailureRepair:
                 time.sleep(0.15)  # hold the commit in its fsync window
                 real_sync()
 
-            service._writer.sync = slow_sync
+            service.round(0).writer.sync = slow_sync
             session = ServiceSession(host, port, key=KEY, producer_id="p", m=M)
             await session.connect()
             await session.send_nowait(_chunk_frame(seed=2), 0)
@@ -547,10 +640,10 @@ class TestCommitFailureRepair:
         # the record is either fully committed (drained shielded commit)
         # or fully absent — resume must never see spill/ledger skew.
         resumed = CollectionService(
-            M, key=KEY, store_root=str(tmp_path / "round"), resume=True
+            rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round"), resume=True
         )
         assert resumed.recovered_records in (0, 1)
-        assert resumed.accumulator.n == 5 * resumed.recovered_records
+        assert resumed.round(0).accumulator.n == 5 * resumed.recovered_records
 
 
 class TestPipelineFlowControl:
@@ -562,7 +655,7 @@ class TestPipelineFlowControl:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round")
+                rounds=[(M, 0)], key=KEY, store_root=str(tmp_path / "round")
             )
             host, port = await service.serve()
             try:
@@ -580,7 +673,7 @@ class TestPipelineFlowControl:
         assert len(acks) == 3000
         assert all(a.status == wire.ACK_MERGED for a in acks)
         assert service.records_merged == 3000
-        assert service.accumulator.n == 3000
+        assert service.round(0).accumulator.n == 3000
 
     def test_mid_frame_stall_is_dropped_and_slot_freed(self, tmp_path):
         """A producer that sends a header and then stalls mid-payload is
@@ -594,7 +687,10 @@ class TestPipelineFlowControl:
 
         async def main():
             service = CollectionService(
-                M, key=KEY, store_root=str(tmp_path / "round"), limits=limits
+                rounds=[(M, 0)],
+                key=KEY,
+                store_root=str(tmp_path / "round"),
+                limits=limits,
             )
             host, port = await service.serve()
             try:

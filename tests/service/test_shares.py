@@ -219,7 +219,7 @@ class TestServiceModeValidation:
     def test_keeper_mode_requires_keeper_id(self, tmp_path):
         with pytest.raises(ValidationError, match="keeper"):
             CollectionService(
-                M,
+                rounds=[(M, 0)],
                 key=COLLECTOR_KEY,
                 store_root=str(tmp_path / "r"),
                 mode=MODE_KEEPER,
@@ -228,7 +228,7 @@ class TestServiceModeValidation:
     def test_unknown_mode_is_refused(self, tmp_path):
         with pytest.raises(ValidationError, match="mode"):
             CollectionService(
-                M,
+                rounds=[(M, 0)],
                 key=COLLECTOR_KEY,
                 store_root=str(tmp_path / "r"),
                 mode="plaintext",
@@ -237,7 +237,7 @@ class TestServiceModeValidation:
     def test_collect_mode_rejects_keeper_id(self, tmp_path):
         with pytest.raises(ValidationError, match="keeper"):
             CollectionService(
-                M,
+                rounds=[(M, 0)],
                 key=COLLECTOR_KEY,
                 store_root=str(tmp_path / "r"),
                 keeper_id="keeper-a",
@@ -255,7 +255,7 @@ class _Deployment:
 
     async def __aenter__(self):
         self.collector = CollectionService(
-            M,
+            rounds=[(M, 0)],
             key=COLLECTOR_KEY,
             store_root=str(self.tmp_path / "collector"),
             mode="blinded",
@@ -263,7 +263,7 @@ class _Deployment:
         self.collector_address = await self.collector.serve()
         for keeper_id, key in KEEPER_KEYS.items():
             keeper = CollectionService(
-                M,
+                rounds=[(M, 0)],
                 key=key,
                 store_root=str(self.tmp_path / keeper_id),
                 mode=MODE_KEEPER,
@@ -292,8 +292,8 @@ class _Deployment:
 
     def combine(self) -> CountAccumulator:
         return combine_accumulators(
-            self.collector.accumulator,
-            [keeper.accumulator for keeper in self.keepers.values()],
+            self.collector.round(0).accumulator,
+            [keeper.round(0).accumulator for keeper in self.keepers.values()],
         )
 
 
@@ -373,12 +373,12 @@ class TestSplitTrustEndToEnd:
                 )
                 digests = {
                     "collector": encode_member_digest(
-                        deployment.collector._single_round().member_digest
+                        deployment.collector.round(0).member_digest
                     ),
                 }
                 for kid, keeper in deployment.keepers.items():
                     digests[kid] = encode_member_digest(
-                        keeper._single_round().member_digest
+                        keeper.round(0).member_digest
                     )
                 return digests
 
@@ -405,7 +405,7 @@ class TestSplitTrustEndToEnd:
                         m=M,
                         party=keeper_party_label("keeper-a"),
                     )
-                return deployment.keepers["keeper-a"].accumulator.n
+                return deployment.keepers["keeper-a"].round(0).accumulator.n
 
         assert asyncio.run(scenario()) == 0
 
@@ -427,7 +427,7 @@ class TestSplitTrustEndToEnd:
                         producer_id="edge-1",
                         m=M,
                     )
-                return deployment.keepers["keeper-a"].accumulator.n
+                return deployment.keepers["keeper-a"].round(0).accumulator.n
 
         assert asyncio.run(scenario()) == 0
 
@@ -449,7 +449,7 @@ class TestSplitTrustEndToEnd:
                     m=M,
                     raise_on_refusal=False,
                 )
-                return acks, deployment.collector.accumulator.n
+                return acks, deployment.collector.round(0).accumulator.n
 
         acks, n = asyncio.run(scenario())
         assert [a.status for a in acks] == [wire.ACK_REFUSED]

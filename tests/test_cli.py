@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -204,7 +206,8 @@ class TestServiceCLI:
 
     def test_serve_exit_after_round_trip(self, capsys, tmp_path):
         """Run the serve loop in a thread, feed it one record, and let
-        --exit-after bring it down cleanly."""
+        --exit-after bring it down cleanly; the round's files land in
+        its own round_<id>/ directory under --spill-dir."""
         import asyncio
         import socket
         import threading
@@ -222,6 +225,7 @@ class TestServiceCLI:
         argv = [
             "serve",
             "--m", "8",
+            "--round-id", "3",
             "--auth-key", key,
             "--spill-dir", str(tmp_path / "round"),
             "--port", str(port),
@@ -231,7 +235,9 @@ class TestServiceCLI:
         server.start()
         try:
             frame = wire.dump_chunk(
-                np.packbits(np.ones((2, 8), dtype=np.uint8), axis=1), 8
+                np.packbits(np.ones((2, 8), dtype=np.uint8), axis=1),
+                8,
+                round_id=3,
             )
             deadline = time.monotonic() + 10.0
             while True:
@@ -244,6 +250,7 @@ class TestServiceCLI:
                             key=key,
                             producer_id="cli-test",
                             m=8,
+                            round_id=3,
                         )
                     )
                     break
@@ -258,3 +265,47 @@ class TestServiceCLI:
         out = capsys.readouterr().out
         assert "collection service listening" in out
         assert "1 merged" in out and "n=2" in out
+        root = tmp_path / "round"
+        assert os.listdir(root) == ["round_00003"]
+        assert {"round.ledger", "shard_00000.chunks"} <= set(
+            os.listdir(root / "round_00003")
+        )
+
+    def test_serve_resume_refuses_a_flat_root(self, tmp_path):
+        """A round kept in the flat layout (ledger and spill directly
+        under --spill-dir) is refused, naming where to move its files."""
+        import asyncio
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.pipeline import CollectionService
+
+        key = "deadbeefcafebabe"
+        root = tmp_path / "round"
+        service = CollectionService(
+            rounds=[(8, 3)], key=key, store_root=str(root)
+        )
+        asyncio.run(service.close())
+        for path in list((root / "round_00003").iterdir()):
+            path.rename(root / path.name)
+        (root / "round_00003").rmdir()
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--m", "8",
+                "--round-id", "3",
+                "--auth-key", key,
+                "--spill-dir", str(root),
+                "--resume",
+                "--exit-after", "0",  # a root it accepts exits at once
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode != 0
+        assert f"into {root / 'round_00003'}/" in result.stderr
+        assert not (root / "round_00003").exists()
